@@ -113,19 +113,17 @@ type transportDoc struct {
 	BatchesSent    int64   `json:"batches_sent"`
 	BatchedGets    int64   `json:"batched_gets"`
 	BatchOccupancy []int64 `json:"batch_occupancy"`
-	HTTPFallbacks  int64   `json:"http_fallbacks"`
 	V2Dials        int64   `json:"v2_dials"`
 	V2DialFails    int64   `json:"v2_dial_fails"`
 	Peers          []struct {
 		ID    string `json:"id"`
-		Proto string `json:"proto"`
 		Conns int    `json:"conns"`
 	} `json:"peers"`
 }
 
 // printTransports renders each replica's peer-transport state (the same
-// counters /metrics exports as qr2_peer_*): negotiated protocol and live
-// connections per peer, frame/batch totals, and mean batch occupancy.
+// counters /metrics exports as qr2_peer_*): live connections per peer,
+// frame/batch totals, and mean batch occupancy.
 func printTransports(urls []string) {
 	printed := false
 	for _, base := range urls {
@@ -145,7 +143,7 @@ func printTransports(urls []string) {
 			continue
 		}
 		if !printed {
-			fmt.Println("peer transport (protocol v2):")
+			fmt.Println("peer transport:")
 			printed = true
 		}
 		ts := doc.Cluster.Transport
@@ -162,11 +160,11 @@ func printTransports(urls []string) {
 		if frames > 0 {
 			occ = fmt.Sprintf("%.1f", float64(gets)/float64(frames))
 		}
-		fmt.Printf("  replica %-12s frames %d/%d sent/recv  batches %d (%d gets, ~%s/frame)  fallbacks %d  dials %d (%d failed)\n",
+		fmt.Printf("  replica %-12s frames %d/%d sent/recv  batches %d (%d gets, ~%s/frame)  dials %d (%d failed)\n",
 			doc.Cluster.Self, ts.FramesSent, ts.FramesRecv, ts.BatchesSent, ts.BatchedGets, occ,
-			ts.HTTPFallbacks, ts.V2Dials, ts.V2DialFails)
+			ts.V2Dials, ts.V2DialFails)
 		for _, p := range ts.Peers {
-			fmt.Printf("    peer %-12s proto %-8s conns %d\n", p.ID, p.Proto, p.Conns)
+			fmt.Printf("    peer %-12s conns %d\n", p.ID, p.Conns)
 		}
 	}
 	if printed {

@@ -44,9 +44,9 @@
 // (internal/cluster): -peers lists every replica as id=url pairs —
 // including this one — and -self names which entry this process is. Each
 // cached answer then has exactly one owner replica; queries for
-// foreign-owned keys proxy the cache lookup to the owner (/cluster/get)
-// and on an owner miss pay the web query locally and push the answer to
-// the owner (/cluster/put). Dead peers are excluded from the ring by
+// foreign-owned keys proxy the cache lookup to the owner and on an
+// owner miss pay the web query locally and push the answer to the
+// owner. Dead peers are excluded from the ring by
 // health probes and failed forwards fall back to local serving, so user
 // requests survive any peer outage. In cluster mode an epoch bump
 // propagates through the ring (peer messages carry epoch seqs and the
@@ -55,11 +55,11 @@
 // the adoption arrives with its scope intact, full-wiping on a gap —
 // and stale-epoch admissions are rejected; a recovered peer
 // additionally gets its fallback-admitted entries re-homed to it.
-// Replicas prefer peer protocol v2 — persistent connections carrying
-// length-prefixed binary frames with coalesced forwards (see
-// internal/cluster doc.go) — negotiated per peer on first contact, with
-// automatic fallback to the HTTP v1 endpoints; -peer-v1 pins a replica
-// to v1, -peer-conns and -peer-batch-window tune the v2 transport.
+// Lookups and pushes ride the peer protocol — persistent connections
+// carrying length-prefixed binary frames with coalesced forwards (see
+// internal/cluster doc.go), opened by an Upgrade on the peer's -addr, so
+// every -peers URL must be http://host:port. A peer that cannot be
+// dialled is indicted and served around; there is no second transport.
 //
 // Observability: every request is traced through the answer path
 // (internal/obs) — -trace-buffer sizes the /api/trace + /debug/requests
@@ -144,13 +144,7 @@ func main() {
 			"single governed byte budget shared by the answer-cache pool and every dense index's tuple residency; implies -cache-pool (0 = size them separately with -cache-bytes / -dense-resident-bytes)")
 		peers = flag.String("peers", "",
 			"comma-separated id=url replica list (including this one) forming a consistent-hash answer-cache ring; empty = stand-alone")
-		self   = flag.String("self", "", "this replica's id in -peers")
-		peerV1 = flag.Bool("peer-v1", false,
-			"pin this replica to peer protocol v1 (JSON over HTTP): never serve or dial the persistent binary v2 transport")
-		peerConns = flag.Int("peer-conns", 0,
-			"persistent v2 connections per peer (0 = default)")
-		peerBatchWindow = flag.Duration("peer-batch-window", 0,
-			"linger before flushing a coalesced v2 lookup frame, trading forward latency for bigger batches (0 = pure group commit)")
+		self        = flag.String("self", "", "this replica's id in -peers")
 		changeProbe = flag.Duration("change-probe", 0,
 			"period for live change-detection probes against each source (sentinel query replays; a mismatch on a bounded sentinel wipes only that sentinel's region; 0 = boot-time fingerprint only)")
 		sentinels = flag.Int("sentinels", epoch.DefaultSentinels,
@@ -221,9 +215,6 @@ func main() {
 		CachePoolBytes:      *cacheBytes,
 		MemBudget:           *memBudget,
 		SelfID:              *self,
-		DisablePeerV2:       *peerV1,
-		PeerConns:           *peerConns,
-		PeerBatchWindow:     *peerBatchWindow,
 		ChangeProbeInterval: *changeProbe,
 		ChangeSentinels:     *sentinels,
 		TraceBuffer:         *traceBuffer,

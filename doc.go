@@ -65,15 +65,20 @@
 // exactly one owner replica. A replica serving a key it owns uses its
 // local pool as usual; for a foreign-owned key it first checks local
 // residency (crawl sets stay replica-local), then proxies the cache
-// lookup to the owner (GET /cluster/get — residency-only, never a web
-// query), and on an owner miss pays the web-database query itself and
-// asynchronously pushes the answer to the owner (POST /cluster/put), so
-// the cluster never re-pays for an answer any replica already holds.
+// lookup to the owner (residency-only, never a web query), and on an
+// owner miss pays the web-database query itself and asynchronously
+// pushes the answer to the owner, so the cluster never re-pays for an
+// answer any replica already holds. Lookups and pushes have one wire
+// form: binary frames on persistent connections opened by an Upgrade on
+// the peer's ordinary listener, concurrent lookups to one owner
+// coalescing into batch frames; ring membership, epochs and metrics
+// snapshots are plain GETs (/cluster/ring, /cluster/obs, /healthz).
 // Failure semantics: per-peer health probes with backoff exclude dead
 // peers from the ring (their key ranges move to ring successors and snap
-// back on recovery), and a forward that fails mid-flight falls back to
-// serving through the local pool — a peer outage degrades query cost,
-// never availability. Answers admitted off-owner during an outage are
+// back on recovery), and a forward whose connection dies mid-flight is
+// replayed once on a fresh one; if that fails too the peer is indicted
+// and the request served through the local pool — a peer outage
+// degrades query cost, never availability. Answers admitted off-owner during an outage are
 // tracked as strays and re-homed: when the owner recovers, each stray is
 // pushed to it and the local copy released, restoring the exactly-once
 // invariant without waiting for LRU aging. Source epochs ride the same

@@ -46,7 +46,7 @@ func BenchmarkOwnedLocalHit(b *testing.B) {
 }
 
 // BenchmarkForwardHit is the full peer round trip: a foreign-owned key
-// resident at its owner, proxied over HTTP per lookup. The gap to
+// resident at its owner, one frame round trip per lookup. The gap to
 // BenchmarkOwnedLocalHit is the price of not owning a key — and the
 // budget for smarter routing (user affinity, read replicas) later.
 func BenchmarkForwardHit(b *testing.B) {
@@ -82,30 +82,6 @@ func BenchmarkForeignLocalResidencyHit(b *testing.B) {
 		b.Fatal(err)
 	}
 	a.cache.Admit(p, res)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := a.db.Search(ctx, p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkForwardHitV1 pins the v1 JSON/HTTP forward (protocol v2
-// disabled on every replica) — the baseline the persistent binary
-// transport is judged against, and the path a mixed-version ring still
-// takes to an old binary.
-func BenchmarkForwardHitV1(b *testing.B) {
-	reps := newCluster(b, 3, func(c *Config) { c.DisableV2 = true })
-	ctx := context.Background()
-	a, bRep := reps[0], reps[1]
-	p := predOwnedBy(b, reps, bRep.id)
-	if _, err := a.db.Search(ctx, p); err != nil {
-		b.Fatal(err)
-	}
-	a.node.Quiesce()
-	if _, ok := bRep.cache.Peek(p); !ok {
-		b.Fatal("owner not warmed")
-	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := a.db.Search(ctx, p); err != nil {

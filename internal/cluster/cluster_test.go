@@ -32,6 +32,11 @@ type replica struct {
 	down  atomic.Bool
 	// fail makes the next N requests 503 — a transient blip, unlike down.
 	fail atomic.Int64
+	// upgradeStatus, when non-zero, answers the peer-session Upgrade with
+	// that status instead of switching protocols.
+	upgradeStatus atomic.Int64
+	// v1Gets counts requests to the deleted /cluster/get data endpoint.
+	v1Gets atomic.Int64
 }
 
 // kill simulates process death as seen from the network: inbound HTTP is
@@ -60,6 +65,15 @@ func newCluster(t testing.TB, n int, opts ...func(*Config)) []*replica {
 			if r.fail.Load() > 0 && r.fail.Add(-1) >= 0 {
 				http.Error(w, "transient", http.StatusServiceUnavailable)
 				return
+			}
+			switch req.URL.Path {
+			case "/cluster/get":
+				r.v1Gets.Add(1)
+			case "/cluster/v2":
+				if code := r.upgradeStatus.Load(); code != 0 {
+					w.WriteHeader(int(code))
+					return
+				}
 			}
 			r.mux.ServeHTTP(w, req)
 		}))
@@ -525,6 +539,13 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Self: "a", Peers: map[string]string{"a": "", "b": ""}}); err == nil {
 		t.Fatal("peer without URL accepted")
 	}
+	// The peer session dials host:port of a plain-http URL; anything else
+	// could never be reached and must not boot.
+	for _, url := range []string{"b.example:8080", "https://b.example:8080", "http://"} {
+		if _, err := New(Config{Self: "a", Peers: map[string]string{"a": "", "b": url}}); err == nil {
+			t.Fatalf("undialable peer URL %q accepted", url)
+		}
+	}
 }
 
 // TestQuiesceWaitsForAdmits: Quiesce returns only after outstanding
@@ -559,7 +580,7 @@ func TestApplicationErrorDoesNotKillPeer(t *testing.T) {
 	ctx := context.Background()
 	a, b := reps[0], reps[1]
 	// Simulate a misconfigured peer: b never registered the source, so
-	// its /cluster/get answers 404 while /healthz stays green.
+	// its lookups answer a 404-family opErr while /healthz stays green.
 	b.node.mu.Lock()
 	delete(b.node.sources, a.db.Name())
 	b.node.mu.Unlock()

@@ -7,10 +7,11 @@ import (
 
 	"repro/internal/hidden"
 	"repro/internal/obs"
+	"repro/internal/region"
 	"repro/internal/relation"
 )
 
-// The peer protocol v2 wire format. One TCP connection carries a stream
+// The peer protocol wire format. One TCP connection carries a stream
 // of length-prefixed binary frames in both directions; request IDs
 // multiplex concurrent operations, so responses return in whatever order
 // the peer finishes them:
@@ -24,12 +25,12 @@ import (
 // Integers inside payloads are unsigned varints; float64s travel as
 // IEEE-754 bit patterns (8 bytes LE), so bounds round-trip exactly —
 // both ends derive the identical canonical cache key from the wire
-// predicate, the same guarantee the v1 filter-form grammar gives.
+// predicate.
 // Strings and byte blobs are length-prefixed with a varint bounded by
 // the bytes remaining in the frame, so a hostile length prefix can
 // never force an over-allocation.
 //
-// Op table (see doc.go "Peer protocol v2" for the full semantics):
+// Op table (see doc.go "Peer protocol" for the full semantics):
 //
 //	opHello      1   client → server: magic, highest supported version, self id
 //	opHelloAck   2   server → client: negotiated version, self id
@@ -37,11 +38,9 @@ import (
 //	opGetResp    4   found/overflow, owner epoch+scope, tuples, span subtree
 //	opPut        5   answer admission (ns, produced-under epoch+scope, tuples)
 //	opPutResp    6   admission status (ok / stale-epoch / refused), subtree
-//	opRing       7   membership + epoch gossip pull (empty payload)
-//	opRingResp   8   self, peers, per-source epochs with scopes
-//	opObs        9   observability snapshot pull (empty payload)
-//	opObsResp   10   the obs.Snapshot as a JSON blob (cold path; the hot
-//	                 ops stay fully binary)
+//	             7–10 retired: ring and obs pulls ride plain HTTP GET
+//	                 (/cluster/ring, /cluster/obs); a frame carrying one
+//	                 is answered opErr like any unknown op
 //	opBatchGet  11   N coalesced lookups in one frame
 //	opBatchResp 12   N getResp bodies, positionally matched
 //	opErr       15   request-scoped failure: code (HTTP-alike) + message
@@ -58,10 +57,6 @@ const (
 	opGetResp   = 4
 	opPut       = 5
 	opPutResp   = 6
-	opRing      = 7
-	opRingResp  = 8
-	opObs       = 9
-	opObsResp   = 10
 	opBatchGet  = 11
 	opBatchResp = 12
 	opErr       = 15
@@ -71,8 +66,8 @@ const (
 	// protoMagic opens the hello payload; a server that reads anything
 	// else is talking to something that is not a QR2 peer.
 	protoMagic = "QR2P"
-	// protoV2 is this binary's protocol version. Negotiation picks
-	// min(client, server); anything below 2 means "fall back to HTTP".
+	// protoV2 is this binary's protocol version — the only one there is;
+	// a hello or ack announcing anything below it fails the handshake.
 	protoV2 = 2
 	// frameHeaderLen is op + flags + request id.
 	frameHeaderLen = 1 + 1 + 8
@@ -88,8 +83,8 @@ const (
 // put admission statuses carried by opPutResp.
 const (
 	putStatusOK      = 0
-	putStatusStale   = 1 // older epoch than the receiver serves under (v1: 409)
-	putStatusRefused = 2 // malformed or unknown namespace (v1: 4xx)
+	putStatusStale   = 1 // older epoch than the receiver serves under
+	putStatusRefused = 2 // malformed or unknown namespace
 )
 
 // wireWriter appends wire primitives to a reusable buffer.
@@ -346,8 +341,7 @@ func appendTuples(w *wireWriter, ts []relation.Tuple, width int) {
 }
 
 // decodeTuples reconstructs a tuple set, requiring the wire width to
-// match the receiver's schema exactly — the binary analogue of the v1
-// handler's per-tuple length check.
+// match the receiver's schema exactly.
 func decodeTuples(r *wireReader, schema *relation.Schema) []relation.Tuple {
 	width := r.uvarint()
 	if r.err != nil {
@@ -381,6 +375,58 @@ func decodeTuples(r *wireReader, schema *relation.Schema) []relation.Tuple {
 
 // --- region scope ---
 
+// rectDoc is the wire form of a region.Rect, in frames and in the JSON
+// /cluster/ring document alike. Interval bounds travel as IEEE-754 bit
+// patterns (uint64) because JSON cannot represent ±Inf; Flags packs the
+// open-endpoint bits (1 = LoOpen, 2 = HiOpen) per dimension. A peer that
+// cannot express or decode the rect simply drops it, and the adoption
+// falls back to a full wipe.
+type rectDoc struct {
+	Attrs []int    `json:"attrs"`
+	Lo    []uint64 `json:"lo"`
+	Hi    []uint64 `json:"hi"`
+	Flags []byte   `json:"flags,omitempty"`
+}
+
+// encodeRect serialises a rect for the wire.
+func encodeRect(r region.Rect) *rectDoc {
+	d := &rectDoc{
+		Attrs: append([]int(nil), r.Attrs...),
+		Lo:    make([]uint64, len(r.Ivs)),
+		Hi:    make([]uint64, len(r.Ivs)),
+		Flags: make([]byte, len(r.Ivs)),
+	}
+	for i, iv := range r.Ivs {
+		d.Lo[i] = math.Float64bits(iv.Lo)
+		d.Hi[i] = math.Float64bits(iv.Hi)
+		if iv.LoOpen {
+			d.Flags[i] |= 1
+		}
+		if iv.HiOpen {
+			d.Flags[i] |= 2
+		}
+	}
+	return d
+}
+
+// rect reconstructs the region, failing on malformed documents so the
+// caller can fall back to a full-wipe adoption.
+func (d *rectDoc) rect() (region.Rect, error) {
+	if d == nil || len(d.Attrs) != len(d.Lo) || len(d.Lo) != len(d.Hi) {
+		return region.Rect{}, fmt.Errorf("cluster: malformed rect document")
+	}
+	ivs := make([]relation.Interval, len(d.Attrs))
+	for i := range d.Attrs {
+		iv := relation.Interval{Lo: math.Float64frombits(d.Lo[i]), Hi: math.Float64frombits(d.Hi[i])}
+		if i < len(d.Flags) {
+			iv.LoOpen = d.Flags[i]&1 != 0
+			iv.HiOpen = d.Flags[i]&2 != 0
+		}
+		ivs[i] = iv
+	}
+	return region.New(d.Attrs, ivs)
+}
+
 // appendScope encodes an optional region rect (nil = unscoped). The
 // shape mirrors rectDoc: bit-pattern bounds, open-endpoint flags.
 func appendScope(w *wireWriter, sc *rectDoc) {
@@ -404,7 +450,7 @@ func appendScope(w *wireWriter, sc *rectDoc) {
 
 // decodeScope reads an optional rect. A malformed scope fails the frame
 // (transport integrity); whether a *missing* scope means full wipe is
-// the adopter's business, exactly as on v1.
+// the adopter's business.
 func decodeScope(r *wireReader) *rectDoc {
 	if r.u8() == 0 || r.err != nil {
 		return nil

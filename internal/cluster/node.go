@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -17,6 +18,7 @@ import (
 	"repro/internal/qcache"
 	"repro/internal/relation"
 	"repro/internal/resilience"
+	"repro/internal/wdbhttp"
 )
 
 // Config describes one replica's membership in the cluster.
@@ -33,7 +35,9 @@ type Config struct {
 	// ProbeInterval paces the active health prober started by Start
 	// (default 5s).
 	ProbeInterval time.Duration
-	// HTTPClient issues peer requests (default: 2s-timeout client).
+	// HTTPClient issues the control plane's GETs (/healthz, /cluster/ring,
+	// /cluster/obs); its timeout is also the data plane's RPC timeout
+	// (default: 2s-timeout client).
 	HTTPClient *http.Client
 	// Probe overrides the health probe (default: GET <url>/healthz).
 	// Tests use it to simulate peer death deterministically.
@@ -42,16 +46,15 @@ type Config struct {
 	// (internal/epoch). When set, every peer-protocol message carries the
 	// sender's epoch seq for the source: a replica seeing a higher seq
 	// adopts it through the registry (wiping the affected namespace), a
-	// /cluster/put tagged with a lower seq is rejected instead of
-	// admitted, and the probe loop gossips epochs over /cluster/ring so a
+	// put tagged with a lower seq is rejected instead of admitted, and the
+	// probe loop gossips epochs over /cluster/ring so a
 	// bump reaches even replicas with no traffic for the source. Nil
 	// disables epoch exchange (every message travels untagged).
 	Epochs *epoch.Registry
-	// Retry applies to each peer RPC (/cluster/get and /cluster/put):
-	// attempts beyond the first re-run only failures that indict the
-	// peer (transport errors, 5xx) — a 4xx or a 409 stale-epoch
-	// rejection is final. The zero value keeps the pre-retry behaviour
-	// of a single attempt per RPC.
+	// Retry applies to each peer RPC (get and put): attempts beyond the
+	// first re-run only failures that indict the peer (transport errors,
+	// 5xx-family opErrs) — a 4xx or a stale-epoch rejection is final.
+	// The zero value is a single attempt per RPC.
 	Retry resilience.Retry
 	// Snapshot supplies this replica's mergeable observability snapshot.
 	// When set, Register mounts GET /cluster/obs serving it and the
@@ -61,16 +64,10 @@ type Config struct {
 	// OnFleetSnapshot receives each merged fleet snapshot right after a
 	// roll-up poll — the service's hook for SLO accounting.
 	OnFleetSnapshot func(*obs.Snapshot)
-	// DisableV2 pins this node to peer protocol v1: it neither serves
-	// GET /cluster/v2 nor dials peers with it, so every peer exchange
-	// stays on the HTTP endpoints. Mixed rings work either way — v2
-	// nodes discover a v1 node through version negotiation — so this
-	// exists for staged rollouts and for testing the mixed-ring path.
-	DisableV2 bool
-	// PeerConns sizes the per-peer persistent connection pool of the v2
-	// transport (default DefaultPeerConns).
+	// PeerConns sizes the per-peer persistent connection pool (default
+	// DefaultPeerConns).
 	PeerConns int
-	// BatchWindow makes each v2 batch flusher linger before draining,
+	// BatchWindow makes each batch flusher linger before draining,
 	// trading forward latency for bigger coalesced frames. The zero
 	// default is pure group commit: batches form only from lookups that
 	// arrive while a flush's write syscall is in flight, which costs a
@@ -100,7 +97,7 @@ type Stats struct {
 	// anyway (a crawl set or a fallback entry this replica still holds) —
 	// cheaper than any forward.
 	LocalHits int64 `json:"local_hits"`
-	// Forwards counts /cluster/get lookups sent to owners; ForwardHits
+	// Forwards counts lookups sent to owners; ForwardHits
 	// came back with the answer (zero web-database queries), ForwardMisses
 	// did not — this replica then paid the web query and pushed the answer
 	// to the owner.
@@ -114,8 +111,8 @@ type Stats struct {
 	// Coalesced counts foreign-owned searches that joined an identical
 	// in-flight forward instead of issuing their own.
 	Coalesced int64 `json:"coalesced"`
-	// AdmitsSent / AdmitErrors count asynchronous /cluster/put pushes of
-	// locally computed answers to their owners.
+	// AdmitsSent / AdmitErrors count asynchronous pushes of locally
+	// computed answers to their owners.
 	AdmitsSent  int64 `json:"admits_sent"`
 	AdmitErrors int64 `json:"admit_errors"`
 	// PeerGets / PeerGetHits / PeerPuts count the server side: lookups and
@@ -135,9 +132,8 @@ type Stats struct {
 	// strays pushed back to their recovered owner and released.
 	Strays  int   `json:"strays"`
 	Rehomed int64 `json:"rehomed"`
-	// Transport is the peer-protocol-v2 transport snapshot (frames,
-	// batches, fallbacks, per-peer negotiated protocol); nil when the
-	// node runs with DisableV2.
+	// Transport is the peer transport snapshot (frames, batches, dials,
+	// per-peer live connections).
 	Transport *TransportStats `json:"transport,omitempty"`
 }
 
@@ -152,9 +148,8 @@ type Node struct {
 	epochs *epoch.Registry  // nil without epoch exchange
 	retry  resilience.Retry // per-RPC retry policy (zero: single attempt)
 
-	// transport is the peer-protocol-v2 client (nil with DisableV2:
-	// every exchange goes over the HTTP endpoints). v2conns tracks
-	// established v2 server connections for CloseV2Conns.
+	// transport is the peer-protocol client. v2conns tracks established
+	// server-side connections for CloseV2Conns.
 	transport *transport
 	v2mu      sync.Mutex
 	v2conns   map[net.Conn]struct{}
@@ -229,9 +224,9 @@ func New(cfg Config) (*Node, error) {
 		if id == "" {
 			return nil, errors.New("cluster: empty peer id")
 		}
-		// Protocol paths are appended with a leading slash; a trailing
-		// slash here would produce "//cluster/put", which the mux 301s and
-		// the client re-issues as GET — silently failing every push.
+		// Control-plane paths are appended with a leading slash; a
+		// trailing slash here would produce "//cluster/ring", which the
+		// mux answers with a redirect.
 		url = strings.TrimRight(url, "/")
 		if id != cfg.Self && url == "" {
 			return nil, fmt.Errorf("cluster: peer %q has no URL", id)
@@ -246,7 +241,7 @@ func New(cfg Config) (*Node, error) {
 	retry := cfg.Retry
 	if retry.RetryIf == nil {
 		// Only peer-indicting failures are worth a second attempt: a 4xx
-		// or a 409 stale-epoch rejection will not change on replay.
+		// or a stale-epoch rejection will not change on replay.
 		retry.RetryIf = isPeerDown
 	}
 	n := &Node{
@@ -263,16 +258,14 @@ func New(cfg Config) (*Node, error) {
 		flights:    make(map[string]*flight),
 		strays:     make(map[strayKey]relation.Predicate),
 	}
-	if !cfg.DisableV2 {
-		n.transport = newTransport(n, cfg)
+	var err error
+	if n.transport, err = newTransport(n, cfg); err != nil {
+		return nil, err
 	}
 	n.health.onRevive = func(id string) {
-		// A revive is exactly when a peer's protocol may have changed (it
-		// restarted): re-arm v2 negotiation before the re-homing pass so
-		// the pushed strays already ride the renegotiated transport.
-		if n.transport != nil {
-			n.transport.reset(id)
-		}
+		// Clear the dial backoff the outage left behind before the
+		// re-homing pass, so the pushed strays dial straight away.
+		n.transport.reset(id)
 		n.peerRevived(id)
 	}
 	return n, nil
@@ -316,8 +309,8 @@ func (n *Node) Gossip(ctx context.Context) {
 		if id == n.self || !n.health.alive(id) {
 			continue
 		}
-		doc, err := n.fetchRing(ctx, id, url)
-		if err != nil {
+		var doc ringDoc
+		if err := n.getJSON(ctx, url+"/cluster/ring", &doc); err != nil {
 			continue // gossip is opportunistic; the health prober owns indictment
 		}
 		for src, seq := range doc.Epochs {
@@ -328,6 +321,69 @@ func (n *Node) Gossip(ctx context.Context) {
 			n.observeScoped(src, seq, sc)
 		}
 	}
+}
+
+// ringDoc is the JSON response of GET /cluster/ring.
+type ringDoc struct {
+	Self         string      `json:"self"`
+	VirtualNodes int         `json:"virtual_nodes"`
+	Peers        []PeerStats `json:"peers"`
+	// Epochs maps each registered source to this replica's epoch seq —
+	// the gossip payload peers pull to converge on bumps. Scopes carries,
+	// for sources whose latest transition was region-confined, the rect
+	// it was confined to; absent entries adopt as full wipes.
+	Epochs map[string]uint64  `json:"epochs,omitempty"`
+	Scopes map[string]rectDoc `json:"scopes,omitempty"`
+}
+
+func (n *Node) handleRing(w http.ResponseWriter, r *http.Request) {
+	st := n.Stats()
+	doc := ringDoc{
+		Self:         n.self,
+		VirtualNodes: len(n.ring.points) / max(1, len(n.ring.ids)),
+		Peers:        st.Peers,
+	}
+	if n.epochs != nil {
+		doc.Epochs = make(map[string]uint64)
+		n.mu.Lock()
+		for name := range n.sources {
+			seq, scope := n.epochOf(name)
+			doc.Epochs[name] = seq
+			if scope != nil {
+				if doc.Scopes == nil {
+					doc.Scopes = make(map[string]rectDoc)
+				}
+				doc.Scopes[name] = *scope
+			}
+		}
+		n.mu.Unlock()
+	}
+	writeJSON(w, http.StatusOK, doc)
+}
+
+func writeJSON(w http.ResponseWriter, status int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_ = json.NewEncoder(w).Encode(v)
+}
+
+// getJSON is the control plane's client: one plain HTTP GET of a peer's
+// JSON document (/cluster/ring, /cluster/obs), pulled once per probe
+// tick and never on a request's path.
+func (n *Node) getJSON(ctx context.Context, url string, v any) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	if err != nil {
+		return err
+	}
+	resp, err := n.hc.Do(req)
+	if err != nil {
+		return err
+	}
+	defer wdbhttp.DrainClose(resp)
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("cluster: GET %s returned %s", url, resp.Status)
+	}
+	return json.NewDecoder(resp.Body).Decode(v)
 }
 
 // seqOf returns this replica's epoch seq for a source, 0 without a
@@ -535,7 +591,7 @@ func (n *Node) rehome(id string) {
 			n.dropStray(k)
 			continue
 		}
-		// The seq is read BEFORE the Peek (as in handleGet): a bump
+		// The seq is read BEFORE the Peek (as in v2Lookup): a bump
 		// landing in between would otherwise tag a pre-change answer
 		// with the post-bump epoch and carry it past the owner's wipe.
 		seq := n.seqOf(k.ns)
@@ -680,7 +736,7 @@ func (s *clusterSource) searchForeign(ctx context.Context, owner string, p relat
 	n := s.node
 	n.forwards.Add(1)
 	// The epoch this search runs under is captured before any network
-	// round trip: the eventual /cluster/put is tagged with it, so if the
+	// round trip: the eventual put is tagged with it, so if the
 	// epoch bumps while the web query is in flight the owner rejects the
 	// (possibly pre-change) answer instead of installing it.
 	seq := n.seqOf(s.name)
@@ -722,7 +778,7 @@ func (s *clusterSource) searchForeign(ctx context.Context, owner string, p relat
 	// served to this request only — pushing it to the owner would spread
 	// the fabrication cluster-wide.
 	if !res.Degraded {
-		n.asyncAdmit(obs.RequestID(ctx), owner, s.name, s.Schema(), p, copyTuples(res), seq)
+		n.asyncAdmit(owner, s.name, s.Schema(), p, copyTuples(res), seq)
 	}
 	return res, nil
 }

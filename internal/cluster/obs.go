@@ -2,13 +2,10 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
 	"net/http"
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/wdbhttp"
 )
 
 // The fleet observability roll-up. Each replica serves its own mergeable
@@ -23,31 +20,6 @@ import (
 // handleObs serves this replica's observability snapshot.
 func (n *Node) handleObs(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, n.snapshotFn())
-}
-
-// fetchObs pulls one peer's observability snapshot — over v2 when the
-// peer speaks it, over GET /cluster/obs otherwise.
-func (n *Node) fetchObs(ctx context.Context, id, url string) (*obs.Snapshot, error) {
-	if s, err, handled := n.fetchObsV2(ctx, id); handled {
-		return s, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/cluster/obs", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := n.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer wdbhttp.DrainClose(resp)
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("cluster: /cluster/obs returned %s", resp.Status)
-	}
-	var s obs.Snapshot
-	if err := json.NewDecoder(resp.Body).Decode(&s); err != nil {
-		return nil, err
-	}
-	return &s, nil
 }
 
 // PollObs refreshes the fleet roll-up: the local snapshot plus every
@@ -65,8 +37,8 @@ func (n *Node) PollObs(ctx context.Context) {
 		if id == n.self || !n.health.alive(id) {
 			continue
 		}
-		s, err := n.fetchObs(ctx, id, url)
-		if err != nil {
+		s := new(obs.Snapshot)
+		if err := n.getJSON(ctx, url+"/cluster/obs", s); err != nil {
 			continue // opportunistic, like gossip
 		}
 		if s.Replica == "" {

@@ -16,7 +16,7 @@ import (
 	"time"
 )
 
-// The client half of peer protocol v2 (see codec.go for the wire format
+// The client half of the peer protocol (see codec.go for the wire format
 // and doc.go for the protocol narrative). Each peer gets a small pool of
 // persistent connections; request IDs multiplex concurrent RPCs over
 // them, so responses return in completion order. Forwarded lookups
@@ -26,24 +26,18 @@ import (
 // and callers arriving while that write syscall is in flight queue up
 // and leave in the next flush as one opBatchGet frame.
 //
-// v2 is strictly an optimisation over the v1 HTTP endpoints: any failure
-// to carry a request — the peer negotiated v1, the dial failed, a
-// persistent connection died with the request in flight — surfaces as
-// "unhandled" and the caller re-issues the same request over HTTP, so
-// callers are never dropped and the health/indictment machinery keeps
-// judging peers by the HTTP evidence it already understands.
+// This transport is the only carrier of get, put and batchGet: a failure
+// here is a failure of the RPC. v2client.go turns it into the ladder —
+// one replay when an established connection was lost, a peer-indicting
+// error for everything else — and the node degrades to local serving.
 
 const (
-	// upgradeProto is the Upgrade token that negotiates v2 on a peer's
-	// ordinary HTTP listener: a v2 server answers 101 and the connection
-	// switches to binary frames; anything else (404 from an older binary,
-	// 503 from a draining one) means the peer doesn't speak v2 now.
+	// upgradeProto is the Upgrade token that opens a peer session on a
+	// replica's ordinary HTTP listener: the peer answers 101 and the
+	// connection switches to binary frames; anything else (503 from a
+	// down replica, 404 from a foreign binary) fails the dial.
 	upgradeProto = "qr2-peer/2"
-	// v1RetryTTL is how long a peer that negotiated v1 is left alone
-	// before the next connect re-probes it (a restart may have upgraded
-	// it; a health revive re-probes immediately).
-	v1RetryTTL = 30 * time.Second
-	// dialRetryTTL spaces re-dials after a failed v2 dial so a dead peer
+	// dialRetryTTL spaces re-dials after a failed dial so a dead peer
 	// doesn't eat a connect attempt per forward.
 	dialRetryTTL = time.Second
 	// DefaultPeerConns is the per-peer connection pool size.
@@ -53,42 +47,25 @@ const (
 	DefaultMaxBatch = 64
 )
 
-// A peer's negotiated protocol, as far as this replica knows.
-const (
-	protoUnknown = iota // never connected (or due a re-probe)
-	protoSpeaksV2
-	protoSpeaksV1
-)
-
-func protoName(state int) string {
-	switch state {
-	case protoSpeaksV2:
-		return "v2"
-	case protoSpeaksV1:
-		return "v1"
-	default:
-		return "unknown"
-	}
+// transportError marks transport-level failures — dial errors, a
+// connection dying with requests in flight, response timeouts, malformed
+// responses. lost is set only when an established connection died under
+// the request (severed, write failed): the peer may merely have
+// restarted, so that one case earns a replay before the peer is
+// indicted.
+type transportError struct {
+	err  error
+	lost bool
 }
-
-// errPeerV1 reports that the peer negotiated protocol v1; the caller
-// goes over HTTP, which is not a failure of anything.
-var errPeerV1 = errors.New("cluster: peer does not speak protocol v2")
-
-// transportError marks v2 transport-level failures — dial errors, a
-// connection dying with requests in flight, response timeouts. The
-// caller fails over to HTTP for the same request; only the HTTP
-// attempt's verdict indicts the peer.
-type transportError struct{ err error }
 
 func (e *transportError) Error() string { return "cluster: v2 transport: " + e.err.Error() }
 func (e *transportError) Unwrap() error { return e.err }
 
-// isV2Unavailable reports errors that mean "v2 could not carry this
-// request" — the caller should fall back to HTTP rather than fail.
-func isV2Unavailable(err error) bool {
+// isConnLost reports whether err is an established connection dying
+// with the request in flight.
+func isConnLost(err error) bool {
 	var te *transportError
-	return errors.Is(err, errPeerV1) || errors.As(err, &te)
+	return errors.As(err, &te) && te.lost
 }
 
 // OccupancyBounds is the batch-occupancy histogram layout: frames
@@ -132,26 +109,25 @@ type TransportStats struct {
 	// BatchOccupancy histograms flush sizes: le-1, 2, 4, 8, 16, 32, 64,
 	// +Inf (see OccupancyBounds).
 	BatchOccupancy []int64 `json:"batch_occupancy"`
-	// HTTPFallbacks counts requests v2 accepted but could not complete
-	// (connection died, dial failed, response timed out) that were
-	// re-issued over HTTP. Requests to known-v1 peers are not fallbacks.
+	// HTTPFallbacks is never incremented — there is no HTTP data path to
+	// fall back to. It stays because bench/scrape.go reads it and bench/
+	// changes only in benchmark PRs (ROADMAP lists its removal).
 	HTTPFallbacks int64 `json:"http_fallbacks"`
 	// V2Dials / V2DialFails count persistent-connection dials.
 	V2Dials     int64 `json:"v2_dials"`
 	V2DialFails int64 `json:"v2_dial_fails"`
-	// Peers reports each peer's negotiated protocol and live conns.
+	// Peers reports each peer's live pooled conns.
 	Peers []PeerTransportStats `json:"peers,omitempty"`
 }
 
 // PeerTransportStats is one peer's transport state.
 type PeerTransportStats struct {
 	ID    string `json:"id"`
-	Proto string `json:"proto"` // "v2", "v1", "unknown"
 	Conns int    `json:"conns"`
 }
 
-// transport owns the v2 client state for every peer plus the shared
-// counters (the v2 server increments the frame counters too, so one
+// transport owns the client state for every peer plus the shared
+// counters (the frame server increments the frame counters too, so one
 // snapshot describes both roles).
 type transport struct {
 	node       *Node
@@ -166,17 +142,20 @@ type transport struct {
 
 	peers map[string]*peerTransport // immutable after construction
 
-	framesSent    atomic.Int64
-	framesRecv    atomic.Int64
-	batchesSent   atomic.Int64
-	batchedGets   atomic.Int64
-	occupancy     [8]atomic.Int64
-	httpFallbacks atomic.Int64
-	v2Dials       atomic.Int64
-	v2DialFails   atomic.Int64
+	framesSent  atomic.Int64
+	framesRecv  atomic.Int64
+	batchesSent atomic.Int64
+	batchedGets atomic.Int64
+	occupancy   [8]atomic.Int64
+	v2Dials     atomic.Int64
+	v2DialFails atomic.Int64
 }
 
-func newTransport(n *Node, cfg Config) *transport {
+// newTransport builds the per-peer client state, rejecting a peer whose
+// URL cannot be dialled: the session opens with an Upgrade on a plain
+// TCP connection, so anything but http://host:port would leave the peer
+// permanently unreachable.
+func newTransport(n *Node, cfg Config) (*transport, error) {
 	t := &transport{
 		node:        n,
 		rpcTimeout:  2 * time.Second,
@@ -201,34 +180,25 @@ func newTransport(n *Node, cfg Config) *transport {
 		if id == n.self {
 			continue
 		}
-		pt := &peerTransport{t: t, id: id}
-		if u, err := url.Parse(raw); err == nil && u.Scheme == "http" && u.Host != "" {
-			pt.addr, pt.ok = u.Host, true
+		u, err := url.Parse(raw)
+		if err != nil || u.Scheme != "http" || u.Host == "" {
+			return nil, fmt.Errorf("cluster: peer %q URL %q is not http://host:port", id, raw)
 		}
+		pt := &peerTransport{t: t, id: id, addr: u.Host}
 		pt.slots = make([]*connSlot, t.poolSize)
 		for i := range pt.slots {
 			pt.slots[i] = &connSlot{pt: pt}
 		}
 		t.peers[id] = pt
 	}
-	return t
+	return t, nil
 }
 
-// peer returns the transport state for a peer id (nil for self/unknown).
-func (t *transport) peer(id string) *peerTransport {
-	if t == nil {
-		return nil
-	}
-	return t.peers[id]
-}
-
-// reset re-arms v2 probing for a peer — the health prober calls it on
-// revive, since a restart is exactly when a v1 peer may have become v2
-// (or vice versa; the next dial renegotiates either way).
+// reset clears a peer's dial backoff — the health prober calls it on
+// revive, so the first forward after a restart dials immediately.
 func (t *transport) reset(id string) {
-	if pt := t.peer(id); pt != nil {
+	if pt := t.peers[id]; pt != nil {
 		pt.mu.Lock()
-		pt.state = protoUnknown
 		pt.retryAt = time.Time{}
 		pt.gen++
 		pt.mu.Unlock()
@@ -237,14 +207,11 @@ func (t *transport) reset(id string) {
 
 // close tears down every pooled connection (tests and shutdown).
 func (t *transport) close() {
-	if t == nil {
-		return
-	}
 	for _, pt := range t.peers {
 		for _, s := range pt.slots {
 			s.mu.Lock()
 			if s.pc != nil {
-				s.pc.fail(&transportError{err: errors.New("transport closed")})
+				s.pc.fail(&transportError{err: errors.New("transport closed"), lost: true})
 				s.pc = nil
 			}
 			s.mu.Unlock()
@@ -254,17 +221,13 @@ func (t *transport) close() {
 
 // stats snapshots the transport counters.
 func (t *transport) stats() *TransportStats {
-	if t == nil {
-		return nil
-	}
 	st := &TransportStats{
-		FramesSent:    t.framesSent.Load(),
-		FramesRecv:    t.framesRecv.Load(),
-		BatchesSent:   t.batchesSent.Load(),
-		BatchedGets:   t.batchedGets.Load(),
-		HTTPFallbacks: t.httpFallbacks.Load(),
-		V2Dials:       t.v2Dials.Load(),
-		V2DialFails:   t.v2DialFails.Load(),
+		FramesSent:  t.framesSent.Load(),
+		FramesRecv:  t.framesRecv.Load(),
+		BatchesSent: t.batchesSent.Load(),
+		BatchedGets: t.batchedGets.Load(),
+		V2Dials:     t.v2Dials.Load(),
+		V2DialFails: t.v2DialFails.Load(),
 	}
 	st.BatchOccupancy = make([]int64, len(t.occupancy))
 	for i := range t.occupancy {
@@ -275,9 +238,7 @@ func (t *transport) stats() *TransportStats {
 		if pt == nil {
 			continue
 		}
-		pt.mu.Lock()
-		row := PeerTransportStats{ID: id, Proto: protoName(pt.state)}
-		pt.mu.Unlock()
+		row := PeerTransportStats{ID: id}
 		for _, s := range pt.slots {
 			s.mu.Lock()
 			if s.pc != nil && !s.pc.isDead() {
@@ -290,22 +251,20 @@ func (t *transport) stats() *TransportStats {
 	return st
 }
 
-// peerTransport is one peer's connection pool, negotiation state, and
-// lookup batcher.
+// peerTransport is one peer's connection pool, dial backoff, and lookup
+// batcher.
 type peerTransport struct {
 	t    *transport
 	id   string
 	addr string // host:port from the peer's base URL
-	ok   bool   // addr parsed and scheme is plain http
 
 	mu      sync.Mutex
-	state   int
-	retryAt time.Time // no connect attempts before this (v1 TTL, dial backoff)
+	retryAt time.Time // no dials before this (backoff after a failed one)
 	// gen increments on every reset. A dial records the generation it
-	// started under and its negative verdict (v1, backoff) applies only
-	// if no reset intervened — otherwise a probe that began against the
-	// dying process would overwrite the revive and park the restarted
-	// (possibly upgraded) peer on v1 for the full TTL.
+	// started under and its backoff applies only if no reset intervened —
+	// otherwise a dial that began against the dying process would
+	// overwrite the revive and keep the restarted peer undialled for the
+	// full TTL.
 	gen   uint64
 	slots []*connSlot
 	next  int
@@ -332,41 +291,6 @@ type connSlot struct {
 	pc *peerConn
 }
 
-// usable reports whether v2 should be attempted for this peer now, and
-// flips an expired v1 verdict back to unknown so the next dial
-// re-probes.
-func (pt *peerTransport) usable() bool {
-	if pt == nil || !pt.ok {
-		return false
-	}
-	pt.mu.Lock()
-	defer pt.mu.Unlock()
-	if pt.state == protoSpeaksV2 {
-		return true
-	}
-	if time.Now().Before(pt.retryAt) {
-		return false
-	}
-	pt.state = protoUnknown
-	return true
-}
-
-func (pt *peerTransport) markV2() {
-	pt.mu.Lock()
-	pt.state = protoSpeaksV2
-	pt.retryAt = time.Time{}
-	pt.mu.Unlock()
-}
-
-func (pt *peerTransport) markV1(gen uint64) {
-	pt.mu.Lock()
-	if pt.gen == gen {
-		pt.state = protoSpeaksV1
-		pt.retryAt = time.Now().Add(v1RetryTTL)
-	}
-	pt.mu.Unlock()
-}
-
 func (pt *peerTransport) dialBackoff(gen uint64) {
 	pt.mu.Lock()
 	if pt.gen == gen {
@@ -375,8 +299,8 @@ func (pt *peerTransport) dialBackoff(gen uint64) {
 	pt.mu.Unlock()
 }
 
-// conn returns a live pooled connection, dialing (and negotiating) if
-// the chosen slot's connection is absent or dead.
+// conn returns a live pooled connection, dialing if the chosen slot's
+// connection is absent or dead.
 func (pt *peerTransport) conn(ctx context.Context) (*peerConn, error) {
 	pt.mu.Lock()
 	slot := pt.slots[pt.next%len(pt.slots)]
@@ -395,54 +319,59 @@ func (pt *peerTransport) conn(ctx context.Context) (*peerConn, error) {
 	return pc, nil
 }
 
-// dial opens a TCP connection to the peer's ordinary HTTP listener and
-// negotiates v2: an Upgrade request, a 101 response, then a hello /
-// helloAck exchange that pins the magic and version. Any non-101
-// response is the version-negotiation fallback — the peer is a v1
-// binary (or fronted by something that refused the upgrade) and is left
-// alone for v1RetryTTL.
+// dial opens one pooled connection, unless a recent dial failed and its
+// backoff has not run out. Every failure — refused connect, a non-101
+// answer to the Upgrade, a bad hello — counts, arms the backoff and
+// returns a transportError the caller maps to a peer-indicting error.
 func (pt *peerTransport) dial(ctx context.Context) (*peerConn, error) {
 	t := pt.t
-	t.v2Dials.Add(1)
 	pt.mu.Lock()
-	gen := pt.gen
+	gen, retryAt := pt.gen, pt.retryAt
 	pt.mu.Unlock()
-	d := net.Dialer{Timeout: t.rpcTimeout}
-	c, err := d.DialContext(ctx, "tcp", pt.addr)
+	if time.Now().Before(retryAt) {
+		return nil, &transportError{err: fmt.Errorf("cluster: %s in backoff after a failed dial", pt.id)}
+	}
+	t.v2Dials.Add(1)
+	pc, err := pt.connect(ctx)
 	if err != nil {
 		t.v2DialFails.Add(1)
 		pt.dialBackoff(gen)
 		return nil, &transportError{err: err}
 	}
-	deadline := time.Now().Add(t.rpcTimeout)
-	_ = c.SetDeadline(deadline)
+	return pc, nil
+}
+
+// connect opens a TCP connection to the peer's ordinary HTTP listener
+// and establishes the session: an Upgrade request, a 101 response, then
+// a hello / helloAck exchange that pins the magic and version.
+func (pt *peerTransport) connect(ctx context.Context) (_ *peerConn, err error) {
+	t := pt.t
+	d := net.Dialer{Timeout: t.rpcTimeout}
+	c, err := d.DialContext(ctx, "tcp", pt.addr)
+	if err != nil {
+		return nil, err
+	}
+	defer func() {
+		if err != nil {
+			c.Close()
+		}
+	}()
+	_ = c.SetDeadline(time.Now().Add(t.rpcTimeout))
 	req := "GET /cluster/v2 HTTP/1.1\r\nHost: " + pt.addr +
 		"\r\nConnection: Upgrade\r\nUpgrade: " + upgradeProto + "\r\n\r\n"
 	if _, err := c.Write([]byte(req)); err != nil {
-		c.Close()
-		t.v2DialFails.Add(1)
-		pt.dialBackoff(gen)
-		return nil, &transportError{err: err}
+		return nil, err
 	}
 	br := bufio.NewReaderSize(c, 64<<10)
 	httpReq, _ := http.NewRequest(http.MethodGet, "http://"+pt.addr+"/cluster/v2", nil)
 	resp, err := http.ReadResponse(br, httpReq)
 	if err != nil {
-		c.Close()
-		t.v2DialFails.Add(1)
-		pt.dialBackoff(gen)
-		return nil, &transportError{err: err}
-	}
-	if resp.StatusCode != http.StatusSwitchingProtocols {
-		// The fallback path of version negotiation: drain politely and
-		// remember the verdict so forwards stop paying this probe.
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
-		resp.Body.Close()
-		c.Close()
-		pt.markV1(gen)
-		return nil, errPeerV1
+		return nil, err
 	}
 	resp.Body.Close()
+	if resp.StatusCode != http.StatusSwitchingProtocols {
+		return nil, fmt.Errorf("cluster: %s answered the %s upgrade with %s", pt.id, upgradeProto, resp.Status)
+	}
 	// Application-level handshake on the upgraded stream.
 	var w wireWriter
 	start := beginFrame(&w, opHello, 0, 0)
@@ -451,33 +380,24 @@ func (pt *peerTransport) dial(ctx context.Context) (*peerConn, error) {
 	w.str(t.node.self)
 	endFrame(&w, start)
 	if _, err := c.Write(w.buf); err != nil {
-		c.Close()
-		t.v2DialFails.Add(1)
-		pt.dialBackoff(gen)
-		return nil, &transportError{err: err}
+		return nil, err
 	}
 	f, err := readFrame(br)
-	if err != nil || f.op != opHelloAck {
-		c.Close()
-		t.v2DialFails.Add(1)
-		pt.dialBackoff(gen)
-		if err == nil {
-			err = fmt.Errorf("cluster: handshake got op %d, want helloAck", f.op)
-		}
-		return nil, &transportError{err: err}
+	if err != nil {
+		return nil, err
+	}
+	if f.op != opHelloAck {
+		return nil, fmt.Errorf("cluster: handshake got op %d, want helloAck", f.op)
 	}
 	ar := &wireReader{buf: f.payload}
 	version := ar.uvarint()
 	ar.str() // peer's self id; informational
 	if ar.err != nil || version < protoV2 {
-		c.Close()
-		pt.markV1(gen)
-		return nil, errPeerV1
+		return nil, fmt.Errorf("cluster: %s acked protocol version %d, want %d", pt.id, version, protoV2)
 	}
 	_ = c.SetDeadline(time.Time{})
 	pc := &peerConn{pt: pt, c: c, pending: make(map[uint64]*pcall)}
 	go pc.readLoop(br)
-	pt.markV2()
 	return pc, nil
 }
 
@@ -566,8 +486,8 @@ func (pc *peerConn) untrack(id uint64) {
 }
 
 // fail kills the connection and delivers err to every in-flight caller —
-// the moment that turns a peer death into per-request HTTP failovers
-// instead of dropped callers.
+// the moment that turns a peer death into per-request replays instead
+// of dropped callers.
 func (pc *peerConn) fail(err error) {
 	pc.mu.Lock()
 	if pc.dead {
@@ -607,7 +527,7 @@ func (pc *peerConn) send(buf []byte) error {
 	_, err := pc.c.Write(buf)
 	pc.wmu.Unlock()
 	if err != nil {
-		werr := &transportError{err: err}
+		werr := &transportError{err: err, lost: true}
 		pc.fail(werr)
 		return werr
 	}
@@ -620,7 +540,7 @@ func (pc *peerConn) readLoop(br *bufio.Reader) {
 	for {
 		f, err := readFrame(br)
 		if err != nil {
-			pc.fail(&transportError{err: err})
+			pc.fail(&transportError{err: err, lost: true})
 			return
 		}
 		pc.pt.t.framesRecv.Add(1)
@@ -645,7 +565,7 @@ func (pc *peerConn) readLoop(br *bufio.Reader) {
 // deliverBatch splits one opBatchResp frame back out to the callers
 // whose lookups were coalesced into the batch. A whole-batch opErr (or
 // a malformed response) fails every entry; a malformed response is a
-// transport error so callers re-issue over HTTP.
+// transport error, which indicts the peer.
 func deliverBatch(batch []*batchCall, f frame) {
 	if f.op == opErr {
 		failBatch(batch, decodeWireErr(f.payload))
@@ -748,8 +668,8 @@ func (pc *peerConn) wait(ctx context.Context, id uint64, ch chan pcallResult) (p
 	}
 }
 
-// roundTrip issues one unbatched RPC (put, ring, obs) and waits for its
-// response frame.
+// roundTrip issues one unbatched RPC (put) and waits for its response
+// frame.
 func (pt *peerTransport) roundTrip(ctx context.Context, op byte, body func(w *wireWriter)) (pcallResult, error) {
 	pc, err := pt.conn(ctx)
 	if err != nil {

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"context"
+	"net/http"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -9,6 +11,7 @@ import (
 
 	"repro/internal/qcache"
 	"repro/internal/relation"
+	"repro/internal/resilience"
 )
 
 // predsOwnedBy collects k distinct window predicates all owned by one
@@ -39,8 +42,19 @@ func transportOf(t testing.TB, r *replica) *TransportStats {
 	return ts
 }
 
-// TestV2NegotiationAndConnReuse: the first forward upgrades to v2 on the
-// peer's ordinary HTTP listener; later forwards reuse the pooled
+// liveConns is how many live pooled connections from holds to to.
+func liveConns(t testing.TB, from, to *replica) int {
+	t.Helper()
+	for _, ps := range transportOf(t, from).Peers {
+		if ps.ID == to.id {
+			return ps.Conns
+		}
+	}
+	return 0
+}
+
+// TestV2NegotiationAndConnReuse: the first forward opens a peer session
+// on the owner's ordinary HTTP listener; later forwards reuse the pooled
 // connections instead of dialing per request.
 func TestV2NegotiationAndConnReuse(t *testing.T) {
 	reps := newCluster(t, 2)
@@ -70,79 +84,26 @@ func TestV2NegotiationAndConnReuse(t *testing.T) {
 	if st.FramesSent == 0 || st.FramesRecv == 0 {
 		t.Fatalf("no frames moved: %+v", st)
 	}
-	if st.HTTPFallbacks != 0 {
-		t.Fatalf("v2-capable peer caused %d HTTP fallbacks", st.HTTPFallbacks)
+	if st.V2DialFails != 0 {
+		t.Fatalf("healthy peer failed %d dials", st.V2DialFails)
 	}
-	for _, ps := range st.Peers {
-		if ps.ID == b.id && ps.Proto != "v2" {
-			t.Fatalf("peer %s negotiated %q, want v2", ps.ID, ps.Proto)
-		}
+	if liveConns(t, a, b) == 0 {
+		t.Fatalf("no live pooled conn to %s: %+v", b.id, st)
 	}
 	if ns := a.node.Stats(); ns.ForwardHits < int64(3*len(preds)) {
 		t.Fatalf("expected %d forward hits: %+v", 3*len(preds), ns)
 	}
 }
 
-// TestV1PeerInterop: a mixed-version ring. Replica b runs with v2
-// disabled (an older binary): a's upgrade probe gets a plain 404, a
-// remembers the verdict, and every forward between them travels over the
-// v1 HTTP endpoints — same answers, no fallback accounting, no error.
-func TestV1PeerInterop(t *testing.T) {
-	reps := newCluster(t, 2, func(c *Config) {
-		if c.Self == "b" {
-			c.DisableV2 = true
-		}
-	})
-	ctx := context.Background()
-	a, b := reps[0], reps[1]
-
-	aOwned := predsOwnedBy(t, reps, a.id, 2)
-	bOwned := predsOwnedBy(t, reps, b.id, 2)
-
-	// Both directions: a→b goes HTTP after the failed upgrade probe;
-	// b→a is a v1 client talking to a v2-capable server's v1 endpoints.
-	for _, p := range bOwned {
-		if _, err := a.db.Search(ctx, p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	a.node.Quiesce()
-	for _, p := range aOwned {
-		if _, err := b.db.Search(ctx, p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	b.node.Quiesce()
-	for _, p := range bOwned {
-		if _, err := a.db.Search(ctx, p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := transportOf(t, a)
-	for _, ps := range st.Peers {
-		if ps.ID == b.id && ps.Proto != "v1" {
-			t.Fatalf("v2-disabled peer negotiated %q, want v1", ps.Proto)
-		}
-	}
-	if st.HTTPFallbacks != 0 {
-		t.Fatalf("known-v1 peer counted as fallback: %+v", st)
-	}
-	if bs := b.node.Stats(); bs.Transport != nil {
-		t.Fatalf("v2-disabled node grew a transport: %+v", bs.Transport)
-	}
-	if as := a.node.Stats(); as.ForwardHits == 0 {
-		t.Fatalf("mixed-version forwards did not hit: %+v", as)
-	}
-}
-
 // TestInFlightFailoverNoDroppedCallers: persistent connections are
 // severed over and over while concurrent forwards are in flight. Every
-// caller whose frame dies mid-connection must fail over to HTTP within
-// its own attempt: zero search errors, zero extra web queries, zero
-// fallback-local serves — the owner's HTTP endpoints are up the whole
-// time, only the v2 transport is being murdered.
+// caller whose frame dies mid-connection replays it on a fresh dial:
+// zero search errors, zero extra web queries, zero fallback-local
+// serves — the owner's listener is up the whole time, only established
+// connections are being murdered. Nothing may reach for the deleted
+// JSON-over-HTTP data path, which now 404s.
 func TestInFlightFailoverNoDroppedCallers(t *testing.T) {
-	reps := newCluster(t, 2)
+	reps := newCluster(t, 2, churnRetry)
 	ctx := context.Background()
 	a, b := reps[0], reps[1]
 	preds := predsOwnedBy(t, reps, b.id, 8)
@@ -176,7 +137,7 @@ func TestInFlightFailoverNoDroppedCallers(t *testing.T) {
 		}(g)
 	}
 	for i := 0; i < 25; i++ {
-		b.node.CloseV2Conns()
+		severAndRedial(t, a, b)
 		time.Sleep(time.Millisecond)
 	}
 	close(stop)
@@ -191,12 +152,74 @@ func TestInFlightFailoverNoDroppedCallers(t *testing.T) {
 	if st := a.node.Stats(); st.Fallbacks != 0 {
 		t.Fatalf("connection churn caused %d fallback-local serves: %+v", st.Fallbacks, st)
 	}
+	if got := b.v1Gets.Load(); got != 0 {
+		t.Fatalf("owner saw %d requests to /cluster/get; the data plane rides frames only", got)
+	}
+	resp, err := http.Get(b.srv.URL + "/cluster/get")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /cluster/get answered %s, want 404", resp.Status)
+	}
 }
 
-// TestPeerRestartRenegotiates: a full peer death (HTTP down + conns
+// churnRetry gives the churn tests a small per-RPC retry: a replay can
+// land on the pool's other connection before its reader has noticed the
+// same sever, and that second loss is (correctly) a peer-indicting error.
+func churnRetry(c *Config) {
+	c.Retry = resilience.Retry{MaxAttempts: 4, BackoffBase: 200 * time.Microsecond, BackoffCap: time.Millisecond}
+}
+
+// severAndRedial severs every session from→to — the caller guarantees
+// the whole pool is established — and returns once traffic has redialled
+// all of it. Churn paced this way lands on in-flight frames and never on
+// a dial's handshake: a failed dial rightly indicts the peer
+// (TestUpgradeRefusedIndicts), which is not what these tests watch.
+func severAndRedial(t testing.TB, from, to *replica) {
+	t.Helper()
+	want := transportOf(t, from).V2Dials + DefaultPeerConns
+	to.node.CloseV2Conns()
+	for deadline := time.Now().Add(5 * time.Second); ; runtime.Gosched() {
+		dials, live := transportOf(t, from).V2Dials, liveConns(t, from, to)
+		if dials >= want && live == DefaultPeerConns {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("pool %s→%s not redialled: %d dials (want %d), %d live", from.id, to.id, dials, want, live)
+		}
+	}
+}
+
+// TestUpgradeRefusedIndicts: whatever a peer's listener answers the
+// session Upgrade with instead of 101 — 503 from a down replica, 404
+// from a foreign binary, a 200 that ignored the Upgrade — the dial
+// fails, the peer is indicted, and the caller is served locally without
+// an error. There is no other transport to try.
+func TestUpgradeRefusedIndicts(t *testing.T) {
+	for _, status := range []int{http.StatusServiceUnavailable, http.StatusNotFound, http.StatusOK} {
+		t.Run(http.StatusText(status), func(t *testing.T) {
+			reps := newCluster(t, 2)
+			a, b := reps[0], reps[1]
+			b.upgradeStatus.Store(int64(status))
+			if _, err := a.db.Search(context.Background(), predOwnedBy(t, reps, b.id)); err != nil {
+				t.Fatalf("search failed on a refused upgrade: %v", err)
+			}
+			if st := a.node.Stats(); st.Fallbacks != 1 || st.Transport.V2DialFails != 1 {
+				t.Fatalf("want 1 fallback-local serve and 1 failed dial: %+v transport %+v", st, st.Transport)
+			}
+			if a.node.health.alive(b.id) {
+				t.Fatal("refused upgrade did not indict the peer")
+			}
+		})
+	}
+}
+
+// TestPeerRestartRenegotiates: a full peer death (listener down + conns
 // severed) degrades cleanly under concurrent load, and after the revive
-// probe the transport renegotiates v2 rather than staying parked on the
-// v1 verdict it formed while the peer was a 503.
+// probe the transport dials again at once rather than staying parked on
+// the backoff it armed while the peer was a 503.
 func TestPeerRestartRenegotiates(t *testing.T) {
 	reps := newCluster(t, 2)
 	ctx := context.Background()
@@ -240,13 +263,16 @@ func TestPeerRestartRenegotiates(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+	// Let the re-homing passes those revives launched finish: one still
+	// pushing when b dies below would indict b again after the final
+	// revive, on evidence from before it.
+	a.node.Quiesce()
 
 	// Deterministic final pass on fresh predicates (anything from preds
 	// is a's local stray by now and would never touch the transport):
 	// kill → a forward passively indicts b (served locally, so it cannot
-	// fail) → revive probe fires the hook that re-arms v2 → the next
-	// forward renegotiates instead of staying parked on the outage-era
-	// v1 verdict or dial backoff.
+	// fail) → revive probe fires the hook that clears the dial backoff →
+	// the next forward redials instead of staying parked on it.
 	b.kill()
 	if _, err := a.db.Search(ctx, indict); err != nil {
 		t.Fatalf("search during outage: %v", err)
@@ -256,15 +282,20 @@ func TestPeerRestartRenegotiates(t *testing.T) {
 	}
 	b.down.Store(false)
 	a.node.CheckNow(ctx)
-	if _, err := a.db.Search(ctx, probe); err != nil {
-		t.Fatal(err)
-	}
-	a.node.Quiesce()
-	st := transportOf(t, a)
-	for _, ps := range st.Peers {
-		if ps.ID == b.id && ps.Proto != "v2" {
-			t.Fatalf("after revive peer %s speaks %q, want v2 again: %+v", ps.ID, ps.Proto, st)
+	// The first search misses at b and pushes the answer there; the
+	// second must come back as a forward hit over a live pooled conn.
+	hits := a.node.Stats().ForwardHits
+	for i := 0; i < 2; i++ {
+		if _, err := a.db.Search(ctx, probe); err != nil {
+			t.Fatal(err)
 		}
+		a.node.Quiesce()
+	}
+	if got := a.node.Stats().ForwardHits; got != hits+1 {
+		t.Fatalf("after revive %d forward hits, want %d: %+v", got, hits+1, a.node.Stats())
+	}
+	if liveConns(t, a, b) == 0 {
+		t.Fatalf("after revive no live pooled conn to %s", b.id)
 	}
 }
 
@@ -329,7 +360,7 @@ func TestBatchCoalescing(t *testing.T) {
 // the owner's conns are concurrently severed — the coalescer must neither
 // deadlock, nor double-deliver, nor drop a caller (run under -race).
 func TestBatchCoalescingRace(t *testing.T) {
-	reps := newCluster(t, 2, func(c *Config) {
+	reps := newCluster(t, 2, churnRetry, func(c *Config) {
 		c.BatchWindow = 200 * time.Microsecond
 	})
 	ctx := context.Background()
@@ -362,7 +393,7 @@ func TestBatchCoalescingRace(t *testing.T) {
 		}(g)
 	}
 	for i := 0; i < 15; i++ {
-		b.node.CloseV2Conns()
+		severAndRedial(t, a, b)
 		time.Sleep(500 * time.Microsecond)
 	}
 	close(stop)

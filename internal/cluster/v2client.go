@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -11,52 +10,76 @@ import (
 	"repro/internal/hidden"
 	"repro/internal/obs"
 	"repro/internal/relation"
+	"repro/internal/resilience"
 )
 
-// Typed client RPCs over peer protocol v2. Every call returns a
-// `handled` flag alongside its result: false means v2 could not carry
-// the request at all — the transport is disabled, the peer negotiated
-// v1, the dial failed, or a persistent connection died with the frame
-// in flight — and the caller must re-issue the identical request over
-// the v1 HTTP endpoint. That retry-on-another-transport is what keeps
-// callers alive through a peer restart: the dying connection fails all
-// its in-flight calls, each falls over to HTTP within the same attempt,
-// and only the HTTP verdict decides whether the peer is indicted.
+// Typed client RPCs over the peer protocol, and the failure ladder every
+// one of them descends:
 //
-// handled=true means a v2 response (or a definitive protocol error)
-// arrived, and its error mapping mirrors v1 exactly: an opErr in the
-// 5xx family — or a malformed response body — indicts the peer like a
-// transport failure would; a 4xx-family opErr and a stale-epoch put
-// rejection are request-scoped and final.
+//  1. Replay once. A transport error on an established connection — it
+//     was severed with the frame in flight, or the write failed — most
+//     often means the peer restarted. Lookups and admissions are
+//     idempotent, so the same frame is sent once more; the pool redials.
+//  2. Indict. A failed dial (refused connect, a non-101 answer to the
+//     Upgrade, a bad hello), a response timeout, a malformed response, a
+//     5xx-family opErr or a second lost connection returns a
+//     peerDownError. Config.Retry may re-run the whole RPC; the caller
+//     then marks the peer dead.
+//  3. Degrade locally. searchForeign serves the request through the
+//     local pool and tracks the answer as a stray for re-homing.
+//
+// A 4xx-family opErr and a stale-epoch put rejection are request-scoped
+// and final: they neither replay nor indict.
 
-// v2Fallback classifies an unavailable-v2 error for the fallback
-// bookkeeping: a known-v1 peer is not a fallback activation (v1 is its
-// normal transport), everything else is.
-func (t *transport) v2Fallback(err error) {
-	if !errors.Is(err, errPeerV1) {
-		t.httpFallbacks.Add(1)
-	}
+// peerDownError marks failures that indict the peer itself — transport
+// errors, 5xx-family opErrs, undecodable responses — rather than this
+// one request (a 4xx from a healthy peer with a different source set
+// must not knock it off the ring; flapping ownership would scatter
+// duplicate answers across its successors).
+type peerDownError struct{ err error }
+
+func (e *peerDownError) Error() string { return e.err.Error() }
+func (e *peerDownError) Unwrap() error { return e.err }
+
+// isPeerDown reports whether err warrants excluding the peer.
+func isPeerDown(err error) bool {
+	var pd *peerDownError
+	return errors.As(err, &pd)
 }
 
-// mapWireErr converts a request-scoped opErr into the v1 error model:
-// 5xx indicts the peer, anything else is a plain request failure.
-func mapWireErr(owner string, err error) error {
+// mapWireErr converts a failed RPC into the node's error model: a
+// transport failure or a 5xx-family opErr indicts the peer, anything
+// else (a 4xx-family opErr, the caller's own context) is returned as is.
+func mapWireErr(op, owner string, err error) error {
 	var we *wireError
-	if errors.As(err, &we) && we.code >= http.StatusInternalServerError {
-		return &peerDownError{err: fmt.Errorf("cluster: v2 get from %s: %w", owner, err)}
+	var te *transportError
+	if errors.As(err, &te) || (errors.As(err, &we) && we.code >= http.StatusInternalServerError) {
+		return &peerDownError{err: fmt.Errorf("cluster: %s %s: %w", op, owner, err)}
 	}
 	return err
 }
 
-// v2Get performs one forwarded residency lookup over v2, going through
-// the owner's batcher so a burst of foreign lookups to the same peer
+// remoteGet proxies a cache lookup to the owner replica, exchanging
+// source epochs both ways: the request carries this replica's seq (so an
+// owner that fell behind adopts it and reports a clean miss), and the
+// response's seq is adopted here when the owner is ahead — the wipe runs
+// before the fresh answer is returned, so the caller serves post-change
+// data from a post-change cache. Failures the retry policy's RetryIf
+// accepts (peer-indicting by default) are retried per Config.Retry; a
+// lookup is idempotent, so replaying it is always safe.
+func (n *Node) remoteGet(ctx context.Context, owner, ns string, schema *relation.Schema, p relation.Predicate, seq uint64) (res hidden.Result, found bool, err error) {
+	err = resilience.Do(ctx, n.retry, func(ctx context.Context) error {
+		res, found, err = n.getOnce(ctx, owner, ns, schema, p, seq)
+		return err
+	})
+	return res, found, err
+}
+
+// getOnce performs one forwarded residency lookup, going through the
+// owner's batcher so a burst of foreign lookups to the same peer
 // coalesces into one frame.
-func (n *Node) v2Get(ctx context.Context, owner, ns string, schema *relation.Schema, p relation.Predicate, seq uint64) (hidden.Result, bool, error, bool) {
-	t := n.transport
-	pt := t.peer(owner)
-	if pt == nil || !pt.usable() {
-		return hidden.Result{}, false, nil, false
-	}
+func (n *Node) getOnce(ctx context.Context, owner, ns string, schema *relation.Schema, p relation.Predicate, seq uint64) (hidden.Result, bool, error) {
+	pt := n.transport.peers[owner]
 	tr := obs.FromContext(ctx)
 	eb, _ := entryBufs.Get().(*[]byte)
 	if eb == nil {
@@ -70,166 +93,116 @@ func (n *Node) v2Get(ctx context.Context, owner, ns string, schema *relation.Sch
 		began = time.Now()
 	}
 	r, err := pt.get(ctx, w.buf)
-	if err == nil {
-		// A response proves the frame was written; the entry bytes are
-		// dead and the buffer can be recycled. On error paths the entry
-		// may still sit in the batch queue, so it must not be reused.
-		*eb = w.buf[:0]
-		entryBufs.Put(eb)
+	if err != nil && isConnLost(err) {
+		// The error was delivered through the call's channel, so the
+		// batcher has already drained the entry: the buffer is free to
+		// travel again.
+		r, err = pt.get(ctx, w.buf)
 	}
 	if err != nil {
-		if isV2Unavailable(err) {
-			t.v2Fallback(err)
-			return hidden.Result{}, false, nil, false
-		}
-		return hidden.Result{}, false, mapWireErr(owner, err), true
+		// The entry may still sit in the batch queue (timeout, cancelled
+		// context), so the buffer is not recycled.
+		return hidden.Result{}, false, mapWireErr("get from", owner, err)
 	}
+	// A response proves the frame was written; the entry bytes are dead
+	// and the buffer can be recycled.
+	*eb = w.buf[:0]
+	entryBufs.Put(eb)
 	rd := &wireReader{buf: r.payload}
 	resp := decodeGetResponse(rd, schema)
 	if derr := rd.finish(); derr != nil {
-		// A response that doesn't decode indicts the peer, exactly like a
-		// JSON body that doesn't parse on the v1 path.
-		return hidden.Result{}, false, &peerDownError{err: fmt.Errorf("cluster: decode v2 get from %s: %w", owner, derr)}, true
+		return hidden.Result{}, false, &peerDownError{err: fmt.Errorf("cluster: decode get from %s: %w", owner, derr)}
 	}
 	tr.Stitch(resp.trace, began)
 	n.observeScoped(ns, resp.eseq, resp.scope)
 	if !resp.found {
-		return hidden.Result{}, false, nil, true
+		return hidden.Result{}, false, nil
 	}
 	if resp.eseq > 0 && n.seqOf(ns) > resp.eseq {
 		// The owner answered under an older epoch than this replica now
-		// serves under: treat the residency as a miss, as on v1.
-		return hidden.Result{}, false, nil, true
+		// serves under (a bump landed since the request went out, or the
+		// owner has not caught up): its residency may predate the change.
+		// Treat it as a miss; the owner converges via our seq or gossip.
+		return hidden.Result{}, false, nil
 	}
-	return resp.resultOf(), true, nil, true
+	return resp.resultOf(), true, nil
 }
 
-// v2Put pushes one answer over v2. The response's status carries the
-// admission verdict: stale-epoch and refused map to plain errors (the
-// v1 409/4xx — final, never indicting).
-func (n *Node) v2Put(ctx context.Context, owner, ns string, schema *relation.Schema, p relation.Predicate, res hidden.Result, seq uint64) (error, bool) {
-	t := n.transport
-	pt := t.peer(owner)
-	if pt == nil || !pt.usable() {
-		return nil, false
-	}
+// put pushes one answer to a peer's cache synchronously, tagged with the
+// epoch seq it was produced under. Peer-indicting failures are retried
+// per Config.Retry — an admission is idempotent (the cache keys on the
+// predicate), so a replay after an ambiguous failure at worst re-admits
+// the same entry.
+func (n *Node) put(ctx context.Context, owner, ns string, schema *relation.Schema, p relation.Predicate, res hidden.Result, seq uint64) error {
+	return resilience.Do(ctx, n.retry, func(ctx context.Context) error {
+		return n.putOnce(ctx, owner, ns, schema, p, res, seq)
+	})
+}
+
+// putOnce is one admission attempt. The response's status carries the
+// admission verdict: stale-epoch and refused map to plain errors —
+// final, never indicting.
+func (n *Node) putOnce(ctx context.Context, owner, ns string, schema *relation.Schema, p relation.Predicate, res hidden.Result, seq uint64) error {
+	pt := n.transport.peers[owner]
 	tr := obs.FromContext(ctx)
 	began := time.Now()
-	r, err := pt.roundTrip(ctx, opPut, func(w *wireWriter) {
+	body := func(w *wireWriter) {
 		w.str(ns)
 		w.uvarint(seq)
+		// The scope travels only while seq is still the live epoch: it
+		// describes the transition into exactly that seq, and tagging an
+		// older seq with a newer transition's rect would let a receiver
+		// partial-wipe where a full wipe is owed.
 		appendScope(w, n.scopeAt(ns, seq))
 		w.bool(tr != nil)
 		w.bool(res.Overflow)
 		appendPredicate(w, p)
 		appendTuples(w, res.Tuples, schema.Len())
-	})
+	}
+	r, err := pt.roundTrip(ctx, opPut, body)
+	if err != nil && isConnLost(err) {
+		r, err = pt.roundTrip(ctx, opPut, body)
+	}
 	if err != nil {
-		if isV2Unavailable(err) {
-			t.v2Fallback(err)
-			return nil, false
-		}
-		return mapWireErr(owner, err), true
+		return mapWireErr("put to", owner, err)
 	}
 	if r.op != opPutResp {
-		return &peerDownError{err: fmt.Errorf("cluster: v2 put to %s answered op %d", owner, r.op)}, true
+		return &peerDownError{err: fmt.Errorf("cluster: put to %s answered op %d", owner, r.op)}
 	}
 	rd := &wireReader{buf: r.payload}
 	status := rd.u8()
 	msg := rd.str()
 	st := decodeSubtree(rd)
 	if derr := rd.finish(); derr != nil {
-		return &peerDownError{err: fmt.Errorf("cluster: decode v2 put from %s: %w", owner, derr)}, true
+		return &peerDownError{err: fmt.Errorf("cluster: decode put from %s: %w", owner, derr)}
 	}
 	tr.Stitch(st, began)
 	switch status {
 	case putStatusOK:
-		return nil, true
+		return nil
 	case putStatusStale:
-		return fmt.Errorf("cluster: %s rejected stale-epoch put: %s", owner, msg), true
+		return fmt.Errorf("cluster: %s rejected stale-epoch put: %s", owner, msg)
 	default:
-		return fmt.Errorf("cluster: %s refused put: %s", owner, msg), true
+		return fmt.Errorf("cluster: %s refused put: %s", owner, msg)
 	}
 }
 
-// fetchRingV2 pulls a peer's membership + epoch document over v2.
-func (n *Node) fetchRingV2(ctx context.Context, id string) (ringDoc, error, bool) {
-	t := n.transport
-	pt := t.peer(id)
-	if pt == nil || !pt.usable() {
-		return ringDoc{}, nil, false
-	}
-	r, err := pt.roundTrip(ctx, opRing, func(w *wireWriter) {})
-	if err != nil {
-		if isV2Unavailable(err) {
-			t.v2Fallback(err)
-			return ringDoc{}, nil, false
-		}
-		return ringDoc{}, err, true
-	}
-	if r.op != opRingResp {
-		return ringDoc{}, fmt.Errorf("cluster: v2 ring from %s answered op %d", id, r.op), true
-	}
-	rd := &wireReader{buf: r.payload}
-	doc := ringDoc{Self: rd.str(), VirtualNodes: int(rd.uvarint())}
-	np := rd.count("peers", 4)
-	for i := 0; i < np && rd.err == nil; i++ {
-		doc.Peers = append(doc.Peers, PeerStats{
-			ID:               rd.str(),
-			URL:              rd.str(),
-			Alive:            rd.bool(),
-			ConsecutiveFails: int64(rd.uvarint()),
-		})
-	}
-	ne := rd.count("epochs", 3)
-	for i := 0; i < ne && rd.err == nil; i++ {
-		name := rd.str()
-		seq := rd.uvarint()
-		sc := decodeScope(rd)
-		if doc.Epochs == nil {
-			doc.Epochs = make(map[string]uint64, ne)
-		}
-		doc.Epochs[name] = seq
-		if sc != nil {
-			if doc.Scopes == nil {
-				doc.Scopes = make(map[string]rectDoc, ne)
+// asyncAdmit pushes a locally computed answer to its owner in the
+// background, tagged with the epoch seq captured before the web query
+// was issued. The push is best-effort: a lost admission — including one
+// the owner rejects as stale-epoch — costs at most one repeated
+// web-database query later, never correctness. Quiesce waits for
+// outstanding pushes.
+func (n *Node) asyncAdmit(owner, ns string, schema *relation.Schema, p relation.Predicate, res hidden.Result, seq uint64) {
+	n.admits.Add(1)
+	go func() {
+		defer n.admits.Done()
+		n.admitsSent.Add(1)
+		if err := n.put(context.Background(), owner, ns, schema, p, res, seq); err != nil {
+			n.admitErrors.Add(1)
+			if isPeerDown(err) {
+				n.health.markDead(owner)
 			}
-			doc.Scopes[name] = *sc
 		}
-	}
-	if derr := rd.finish(); derr != nil {
-		return ringDoc{}, fmt.Errorf("cluster: decode v2 ring from %s: %w", id, derr), true
-	}
-	return doc, nil, true
-}
-
-// fetchObsV2 pulls a peer's observability snapshot over v2 (a JSON blob
-// inside one frame — same document as GET /cluster/obs).
-func (n *Node) fetchObsV2(ctx context.Context, id string) (*obs.Snapshot, error, bool) {
-	t := n.transport
-	pt := t.peer(id)
-	if pt == nil || !pt.usable() {
-		return nil, nil, false
-	}
-	r, err := pt.roundTrip(ctx, opObs, func(w *wireWriter) {})
-	if err != nil {
-		if isV2Unavailable(err) {
-			t.v2Fallback(err)
-			return nil, nil, false
-		}
-		return nil, err, true
-	}
-	if r.op != opObsResp {
-		return nil, fmt.Errorf("cluster: v2 obs from %s answered op %d", id, r.op), true
-	}
-	rd := &wireReader{buf: r.payload}
-	blob := rd.blob()
-	if derr := rd.finish(); derr != nil {
-		return nil, derr, true
-	}
-	var s obs.Snapshot
-	if err := json.Unmarshal(blob, &s); err != nil {
-		return nil, err, true
-	}
-	return &s, nil, true
+	}()
 }

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
@@ -10,21 +9,22 @@ import (
 
 	"repro/internal/hidden"
 	"repro/internal/obs"
+	"repro/internal/qcache"
+	"repro/internal/relation"
 )
 
-// The server half of peer protocol v2. A peer negotiates v2 by sending
-// an ordinary HTTP request to GET /cluster/v2 with `Upgrade: qr2-peer/2`
-// on the replica's one listen address; this handler hijacks the
-// connection, answers 101 Switching Protocols, completes the hello /
-// helloAck handshake, and then serves binary frames until the peer goes
-// away. A v1-only replica simply has no such route — the peer reads a
-// 404 (or whatever middleware answers), concludes v1, and speaks HTTP.
+// The server half of the peer protocol. A peer opens a session by
+// sending an ordinary HTTP request to GET /cluster/v2 with
+// `Upgrade: qr2-peer/2` on the replica's one listen address; this
+// handler hijacks the connection, answers 101 Switching Protocols,
+// completes the hello / helloAck handshake, and then serves binary
+// frames until the peer goes away.
 //
 // Ops are handled sequentially per connection: every handler is local
-// memory work (a cache Peek, an admission, a snapshot marshal), so
-// there is nothing to overlap, and responses pipeline behind each other
-// on the wire. Concurrency comes from the connection pool, not from
-// per-frame goroutines.
+// memory work (a cache Peek, an admission), so there is nothing to
+// overlap, and responses pipeline behind each other on the wire.
+// Concurrency comes from the connection pool, not from per-frame
+// goroutines.
 //
 // Error discipline mirrors the codec's: a frame-layer violation (bad
 // length prefix, truncated stream) kills the connection — framing is
@@ -33,7 +33,18 @@ import (
 // serving, so one bad request — or a newer peer's unknown op — cannot
 // sever a link carrying other callers' traffic.
 
-// handleV2 negotiates a v2 session on the ordinary HTTP listener.
+// Register mounts the node on a mux: the Upgrade endpoint the data plane
+// (get, put, batchGet) rides, and the control plane's plain HTTP GETs —
+// /cluster/ring always, /cluster/obs when Config.Snapshot is set.
+func (n *Node) Register(mux *http.ServeMux) {
+	mux.HandleFunc("GET /cluster/v2", n.handleV2)
+	mux.HandleFunc("GET /cluster/ring", n.handleRing)
+	if n.snapshotFn != nil {
+		mux.HandleFunc("GET /cluster/obs", n.handleObs)
+	}
+}
+
+// handleV2 opens a peer session on the ordinary HTTP listener.
 func (n *Node) handleV2(w http.ResponseWriter, r *http.Request) {
 	if r.Header.Get("Upgrade") != upgradeProto {
 		http.Error(w, fmt.Sprintf("cluster: unsupported upgrade %q", r.Header.Get("Upgrade")), http.StatusBadRequest)
@@ -52,7 +63,7 @@ func (n *Node) handleV2(w http.ResponseWriter, r *http.Request) {
 	n.trackV2Conn(conn)
 	defer n.untrackV2Conn(conn)
 	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(n.v2Timeout()))
+	_ = conn.SetDeadline(time.Now().Add(n.transport.rpcTimeout))
 	_, err = rw.WriteString("HTTP/1.1 101 Switching Protocols\r\nUpgrade: " +
 		upgradeProto + "\r\nConnection: Upgrade\r\n\r\n")
 	if err == nil {
@@ -61,9 +72,8 @@ func (n *Node) handleV2(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		return
 	}
-	// Handshake: the magic pins "this really is a QR2 peer", the version
-	// negotiates min(client, server) — the ack always says 2, and a
-	// client needing more should have stayed on HTTP.
+	// Handshake: the magic pins "this really is a QR2 peer"; the ack
+	// always says 2, the one version there is.
 	f, err := readFrame(rw.Reader)
 	if err != nil || f.op != opHello {
 		return
@@ -87,15 +97,6 @@ func (n *Node) handleV2(w http.ResponseWriter, r *http.Request) {
 	n.serveV2(conn, rw.Reader)
 }
 
-// v2Timeout is the per-response write budget (and handshake deadline),
-// matching the client's RPC timeout.
-func (n *Node) v2Timeout() time.Duration {
-	if n.transport != nil {
-		return n.transport.rpcTimeout
-	}
-	return 2 * time.Second
-}
-
 // serveV2 is the frame loop of one established v2 connection. The loop
 // owns two scratch buffers — one the request frames land in, one the
 // responses are built in — so a warm connection serves without
@@ -113,45 +114,44 @@ func (n *Node) serveV2(c net.Conn, br *bufio.Reader) {
 		if err != nil {
 			return // connection closed, or framing lost — either way, done
 		}
-		if t != nil {
-			t.framesRecv.Add(1)
-		}
-		var out []byte
-		switch f.op {
-		case opGet:
-			out = n.v2ServeGet(f, wbuf[:0])
-		case opBatchGet:
-			out = n.v2ServeBatch(f, wbuf[:0])
-		case opPut:
-			out = n.v2ServePut(f)
-		case opRing:
-			out = n.v2ServeRing(f)
-		case opObs:
-			out = n.v2ServeObs(f)
-		default:
-			var w wireWriter
-			appendErrFrame(&w, f.id, http.StatusBadRequest, fmt.Sprintf("unknown op %d", f.op))
-			out = w.buf
-		}
-		_ = c.SetWriteDeadline(time.Now().Add(n.v2Timeout()))
+		t.framesRecv.Add(1)
+		out := n.v2Serve(f, wbuf[:0])
+		// The write budget matches the client's RPC timeout.
+		_ = c.SetWriteDeadline(time.Now().Add(t.rpcTimeout))
 		if _, err := c.Write(out); err != nil {
 			return
 		}
 		if cap(out) > cap(wbuf) {
 			wbuf = out
 		}
-		if t != nil {
-			t.framesSent.Add(1)
-		}
+		t.framesSent.Add(1)
+	}
+}
+
+// v2Serve answers one request frame, building the response in scratch
+// where the op's handler supports it.
+func (n *Node) v2Serve(f frame, scratch []byte) []byte {
+	switch f.op {
+	case opGet:
+		return n.v2ServeGet(f, scratch)
+	case opBatchGet:
+		return n.v2ServeBatch(f, scratch)
+	case opPut:
+		return n.v2ServePut(f)
+	default:
+		var w wireWriter
+		appendErrFrame(&w, f.id, http.StatusBadRequest, fmt.Sprintf("unknown op %d", f.op))
+		return w.buf
 	}
 }
 
 // v2Lookup serves one residency lookup entry (the body of opGet, or one
-// batch entry): decode, adopt the caller's epoch, read the local epoch
-// BEFORE the Peek — the same ordering as the v1 handler, so an answer
-// is never tagged with an epoch newer than the residency it came from —
-// and package the response. A wireError return maps to an opErr frame
-// or a batch-entry error status.
+// batch entry): decode, adopt the caller's epoch — the wipe completes
+// before the Peek, so the caller sees found=false from the post-change
+// cache rather than a stale answer — read the local epoch BEFORE the
+// Peek, so an answer is never tagged with an epoch newer than the
+// residency it came from, and package the response. A wireError return
+// maps to an opErr frame or a batch-entry error status.
 func (n *Node) v2Lookup(payload []byte) (getResponse, int, *wireError) {
 	n.peerGets.Add(1)
 	rd := &wireReader{buf: payload}
@@ -187,8 +187,7 @@ func (n *Node) v2Lookup(payload []byte) (getResponse, int, *wireError) {
 	resp := getResponse{found: found, overflow: res.Overflow, eseq: seq, scope: scopeOut, tuples: res.Tuples}
 	if wantTrace {
 		// No per-request context exists on a persistent connection, so
-		// the owner-side subtree is built directly: one pool_lookup span,
-		// which is also everything the v1 handler's trace records here.
+		// the owner-side subtree is built directly: one pool_lookup span.
 		resp.trace = &obs.Subtree{Replica: n.self, Spans: []obs.WireSpan{{
 			G: uint8(obs.StagePoolLookup),
 			O: uint8(hitMiss(found)),
@@ -254,9 +253,8 @@ func (n *Node) v2ServeBatch(f frame, scratch []byte) []byte {
 	return w.buf
 }
 
-// v2ServePut answers one opPut frame through the shared peer-admission
-// core, so the epoch gate (stale rejection, adopt-then-admit, untagged
-// bypass) cannot diverge from the v1 handler's.
+// v2ServePut answers one opPut frame through admitFromPeer, which owns
+// the epoch gate (stale rejection, adopt-then-admit, untagged bypass).
 func (n *Node) v2ServePut(f frame) []byte {
 	var w wireWriter
 	rd := &wireReader{buf: f.payload}
@@ -298,62 +296,54 @@ func (n *Node) v2ServePut(f frame) []byte {
 	return w.buf
 }
 
-// v2ServeRing answers one opRing frame with the binary form of the
-// /cluster/ring document: membership, health, and per-source epochs
-// with their transition scopes.
-func (n *Node) v2ServeRing(f frame) []byte {
-	var w wireWriter
-	start := beginFrame(&w, opRingResp, 0, f.id)
-	st := n.Stats()
-	w.str(n.self)
-	w.uvarint(uint64(len(n.ring.points) / max(1, len(n.ring.ids))))
-	w.uvarint(uint64(len(st.Peers)))
-	for _, p := range st.Peers {
-		w.str(p.ID)
-		w.str(p.URL)
-		w.bool(p.Alive)
-		w.uvarint(uint64(p.ConsecutiveFails))
+// admitFromPeer is the peer-admission core. An untagged put (seq 0: the
+// sender has no epoch registry) bypasses the gate entirely, mirroring
+// the send side where seqOf==0 sends no tag — rejecting it would starve
+// owners of every answer such peers compute. A put tagged below the
+// local epoch is refused as stale (the answer may describe the
+// pre-change database, and the wipe that accompanied the bump must stay
+// clean); a sender ahead is adopted — wiping local pre-change state,
+// only the scoped slice when it carried a rect — before its post-change
+// answer is admitted.
+func (n *Node) admitFromPeer(cs *clusterSource, ns string, pred relation.Predicate, res hidden.Result, seq uint64, scope *rectDoc) (int, string) {
+	epochGated := false
+	if local := n.seqOf(ns); local > 0 && seq > 0 {
+		if seq < local {
+			n.peerStalePuts.Add(1)
+			return putStatusStale, fmt.Sprintf("stale epoch %d for %q (now %d)", seq, ns, local)
+		}
+		if seq > local {
+			n.observeScoped(ns, seq, scope)
+		}
+		epochGated = true
 	}
-	if n.epochs == nil {
-		w.uvarint(0)
+	n.peerPuts.Add(1)
+	if epochGated {
+		// Fenced on the produced-under epoch: a bump landing between the
+		// staleness check above and the insert drops the admission inside
+		// the cache's own locks instead of racing the wipe.
+		cs.cache.AdmitAt(pred, res, seq)
 	} else {
-		n.mu.Lock()
-		names := make([]string, 0, len(n.sources))
-		for name := range n.sources {
-			names = append(names, name)
-		}
-		n.mu.Unlock()
-		w.uvarint(uint64(len(names)))
-		for _, name := range names {
-			seq, sc := n.epochOf(name)
-			w.str(name)
-			w.uvarint(seq)
-			appendScope(&w, sc)
+		cs.cache.Admit(pred, res)
+	}
+	// This admission may have landed here only because this replica is
+	// the ring successor of a dead true owner; track it so the re-homing
+	// pass moves it when the owner recovers.
+	if n.health.anyDead() {
+		key := qcache.KeyOf(pred)
+		if trueOwner, ok := n.ring.Owner(ns+"\x00"+key, nil); ok && trueOwner != n.self {
+			n.noteStray(ns, key, pred)
 		}
 	}
-	endFrame(&w, start)
-	return w.buf
+	return putStatusOK, ""
 }
 
-// v2ServeObs answers one opObs frame with the local observability
-// snapshot as a JSON blob — the snapshot is a polling-cadence cold
-// path, so it rides the persistent connection without earning its own
-// binary codec.
-func (n *Node) v2ServeObs(f frame) []byte {
-	var w wireWriter
-	if n.snapshotFn == nil {
-		appendErrFrame(&w, f.id, http.StatusNotFound, "observability disabled")
-		return w.buf
+// hitMiss maps a residency probe's found flag to its span outcome.
+func hitMiss(found bool) obs.Outcome {
+	if found {
+		return obs.OutcomeHit
 	}
-	b, err := json.Marshal(n.snapshotFn())
-	if err != nil {
-		appendErrFrame(&w, f.id, http.StatusInternalServerError, err.Error())
-		return w.buf
-	}
-	start := beginFrame(&w, opObsResp, 0, f.id)
-	w.bytes(b)
-	endFrame(&w, start)
-	return w.buf
+	return obs.OutcomeMiss
 }
 
 // trackV2Conn registers an established v2 server connection so
@@ -376,8 +366,8 @@ func (n *Node) untrackV2Conn(c net.Conn) {
 // CloseV2Conns severs every established v2 server connection. Hijacked
 // connections outlive their HTTP server's Close (the server forgets
 // them at the hijack), so simulating or executing a replica's death
-// must sever them explicitly — peers' in-flight frames then fail over
-// to HTTP, which is the path the health machinery judges.
+// must sever them explicitly — peers' in-flight frames then replay on
+// a fresh dial, whose refusal is what indicts the replica.
 func (n *Node) CloseV2Conns() {
 	n.v2mu.Lock()
 	conns := make([]net.Conn, 0, len(n.v2conns))

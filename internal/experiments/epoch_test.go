@@ -8,7 +8,7 @@ import (
 
 // TestScenarioSourceEpochsShape checks the acceptance criteria on S8:
 // after a mid-run source mutation every replica converges to the bumped
-// epoch, a stale-epoch /cluster/put is rejected with a counted metric,
+// epoch, a stale-epoch peer put is rejected with a counted metric,
 // and zero post-convergence answers come from pre-change cache (byte-
 // compared against a cold replica).
 func TestScenarioSourceEpochsShape(t *testing.T) {

@@ -255,7 +255,7 @@ func (r *Runner) ScenarioObservabilityPlane(ctx context.Context) (Table, error) 
 		f("%s / %s (max per-replica cumulative fraction %.3f, objective 0.05)", shortBreaches, longBreaches, maxFrac))
 
 	t.Notes = append(t.Notes,
-		"stitched trace: the owner's spans return in the /cluster/get response wire subtree and nest under the caller's peer_forward span, replica-attributed",
+		"stitched trace: the owner's spans return in the opGetResp frame's wire subtree and nest under the caller's peer_forward span, replica-attributed",
 		"fleet roll-up: replicas poll each other's /cluster/obs each gossip tick; identical power-of-two buckets make the merge exact, so fleet percentiles equal an offline merge",
 		f("slo windows: %s and %s over the same merged counters — only the short window isolates the burst a single replica's cumulative page dilutes away", short, long),
 	)

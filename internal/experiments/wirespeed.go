@@ -28,28 +28,26 @@ type s12Replica struct {
 	down atomic.Bool
 }
 
-// ScenarioWireSpeed (S12) demonstrates peer protocol v2 on a
-// three-replica ring where one replica only speaks v1:
+// ScenarioWireSpeed (S12) runs the peer protocol at wire speed on a
+// three-replica ring:
 //
-//  1. Mixed-version correctness. Replicas a and b negotiate the
-//     persistent binary transport between themselves; c is pinned to
-//     v1, so a and b automatically talk JSON-over-HTTP to it. The same
-//     hot query set served by all three replicas returns byte-identical
-//     rows regardless of which protocol carried the forward.
+//  1. Entry-replica independence. The same hot query set served through
+//     each of the three replicas returns byte-identical rows, whichever
+//     replica owned the answers and however many forwards carried them.
 //  2. A hot multi-user trace replayed closed-loop across all three
 //     replicas completes without a single failed request, with forwards
-//     coalescing into batch frames on the v2 edges.
-//  3. Killing a replica mid-burst loses zero in-flight forwards: the
-//     callers' v2 RPCs fail over to HTTP, the health prober indicts the
-//     peer, and the survivors degrade to local serving — every user
-//     request still answers.
+//     coalescing into batch frames.
+//  3. Killing a replica mid-burst fails zero callers: in-flight frames
+//     to it are replayed once, the refused redial indicts the peer, and
+//     the survivors degrade to local serving — every user request still
+//     answers.
 func (r *Runner) ScenarioWireSpeed(ctx context.Context) (Table, error) {
 	t := Table{
 		ID:    "S12",
-		Title: "wire-speed peer protocol v2: mixed v1/v2 ring under a hot multi-user trace, mid-burst peer kill",
-		PaperClaim: "the reranking service's economics need cheap cross-replica answer sharing; a transport " +
-			"upgrade must be invisible to correctness — mixed versions, peer death included",
-		Header: []string{"phase", "requests", "errors", "v2 frames", "batched gets", "degraded serves", "note"},
+		Title: "wire-speed peer protocol: three-replica ring under a hot multi-user trace, mid-burst peer kill",
+		PaperClaim: "the reranking service's economics need cheap cross-replica answer sharing; the ring " +
+			"must be invisible to correctness — any entry replica, peer death included",
+		Header: []string{"phase", "requests", "errors", "frames", "batched gets", "degraded serves", "note"},
 	}
 
 	reps, cleanup, err := r.s12Cluster(ctx)
@@ -74,9 +72,9 @@ func (r *Runner) ScenarioWireSpeed(ctx context.Context) (Table, error) {
 	}
 
 	// Phase 1: serve every form once on each replica and compare the
-	// rows byte-for-byte across the three — v2 forwards (a↔b) and v1
-	// forwards (anyone↔c) must be indistinguishable in the answer.
-	frames0, gets0, deg0, _ := s12Transport(reps)
+	// rows byte-for-byte across the three — which replica took the
+	// request must be indistinguishable in the answer.
+	frames0, gets0, deg0 := s12Transport(reps)
 	var served, mismatches int
 	for _, form := range forms {
 		var want string
@@ -96,13 +94,12 @@ func (r *Runner) ScenarioWireSpeed(ctx context.Context) (Table, error) {
 			rep.srv.Cluster().Quiesce()
 		}
 	}
-	frames1, gets1, deg1, _ := s12Transport(reps)
-	protos := s12Protos(byID["a"])
-	t.AddRow("every form on every replica (a,b: v2; c: v1-only)",
+	frames1, gets1, deg1 := s12Transport(reps)
+	t.AddRow("every form on every replica",
 		f("%d", served), f("%d", mismatches), f("%d", frames1-frames0), f("%d", gets1-gets0), f("%d", deg1-deg0),
-		f("rows byte-identical; a sees b=%s c=%s", protos["b"], protos["c"]))
+		"rows byte-identical from every entry replica")
 	if mismatches > 0 {
-		return Table{}, fmt.Errorf("experiments: S12: %d answer mismatches across protocols", mismatches)
+		return Table{}, fmt.Errorf("experiments: S12: %d answer mismatches across entry replicas", mismatches)
 	}
 
 	// Phase 2: the hot multi-user trace, closed-loop across all three
@@ -119,7 +116,7 @@ func (r *Runner) ScenarioWireSpeed(ctx context.Context) (Table, error) {
 	for _, rep := range reps {
 		rep.srv.Cluster().Quiesce()
 	}
-	frames2, gets2, deg2, _ := s12Transport(reps)
+	frames2, gets2, deg2 := s12Transport(reps)
 	t.AddRow("hot multi-user trace, closed-loop, 3 replicas",
 		f("%d", res.Requests), f("%d", res.Errors), f("%d", frames2-frames1), f("%d", gets2-gets1), f("%d", deg2-deg1),
 		f("%d users × %d steps", 18, 6))
@@ -129,8 +126,9 @@ func (r *Runner) ScenarioWireSpeed(ctx context.Context) (Table, error) {
 
 	// Phase 3: kill replica b once the burst is provably in flight
 	// (a quarter of the query responses observed), with user traffic
-	// pinned to a and c. In-flight forwards to b fail over — v2 error,
-	// HTTP retry, peer indicted, local degrade — and no caller sees it.
+	// pinned to a and c. In-flight forwards to b descend the ladder —
+	// replay, refused redial, peer indicted, local degrade — and no
+	// caller sees it.
 	killAt := int64(len(traces) * 6 / 4) // 25% of expected query count
 	var seen atomic.Int64
 	killOnce := sync.Once{}
@@ -157,10 +155,10 @@ func (r *Runner) ScenarioWireSpeed(ctx context.Context) (Table, error) {
 	for _, id := range []string{"a", "c"} {
 		byID[id].srv.Cluster().Quiesce()
 	}
-	frames3, gets3, deg3, fb3 := s12Transport(reps)
+	frames3, gets3, deg3 := s12Transport(reps)
 	t.AddRow("replica b killed mid-burst (traffic on a, c)",
 		f("%d", res.Requests), f("%d", res.Errors), f("%d", frames3-frames2), f("%d", gets3-gets2), f("%d", deg3-deg2),
-		f("zero dropped callers; %d v2→http fallbacks lifetime", fb3))
+		"zero dropped callers")
 	if res.Errors > 0 {
 		return Table{}, fmt.Errorf("experiments: S12: mid-burst kill lost %d requests", res.Errors)
 	}
@@ -169,15 +167,13 @@ func (r *Runner) ScenarioWireSpeed(ctx context.Context) (Table, error) {
 	}
 
 	t.Notes = append(t.Notes,
-		"replica c runs with the v2 transport disabled, so a and b negotiate down to JSON-over-HTTP against it while speaking binary frames to each other — one ring, two protocols, one answer set",
-		"'v2 frames' counts both roles across all replicas; 'batched gets' are forwarded lookups that travelled coalesced into opBatchGet frames; 'degraded serves' are forwards whose owner could not answer, served from the caller's local pool",
+		"'frames' counts both roles across all replicas; 'batched gets' are forwarded lookups that travelled coalesced into opBatchGet frames; 'degraded serves' are forwards whose owner could not answer, served from the caller's local pool",
 		"the kill fires only after a quarter of the burst's queries have answered, so forwards to b are provably in flight when its listener dies and its v2 connections sever — survivors indict b and degrade to local serving, and no caller sees an error",
 	)
 	return t, nil
 }
 
-// s12Cluster builds the mixed-version ring: a and b speak v2, c is
-// pinned to v1 via DisablePeerV2.
+// s12Cluster builds the three-replica ring.
 func (r *Runner) s12Cluster(ctx context.Context) ([]*s12Replica, func(), error) {
 	ids := []string{"a", "b", "c"}
 	var closers []func()
@@ -212,11 +208,10 @@ func (r *Runner) s12Cluster(ctx context.Context) ([]*s12Replica, func(), error) 
 			return nil, nil, err
 		}
 		srv, err := service.New(service.Config{
-			Sources:       map[string]service.SourceConfig{"zillow": {DB: db, Cache: &qcache.Config{}}},
-			Algorithm:     core.Rerank,
-			SelfID:        rep.id,
-			Peers:         urls,
-			DisablePeerV2: rep.id == "c",
+			Sources:   map[string]service.SourceConfig{"zillow": {DB: db, Cache: &qcache.Config{}}},
+			Algorithm: core.Rerank,
+			SelfID:    rep.id,
+			Peers:     urls,
 		})
 		if err != nil {
 			cleanup()
@@ -257,29 +252,12 @@ func s12Rows(base string, form url.Values) (string, error) {
 // s12Transport sums the ring-wide transport and degrade counters.
 // degrades is the node-level fallback count: forwards whose owner could
 // not answer, served from the caller's local pool instead.
-func s12Transport(reps []*s12Replica) (frames, batchedGets, degrades, httpFallbacks int64) {
+func s12Transport(reps []*s12Replica) (frames, batchedGets, degrades int64) {
 	for _, rep := range reps {
 		st := rep.srv.Cluster().Stats()
 		degrades += st.Fallbacks
-		if st.Transport == nil {
-			continue
-		}
 		frames += st.Transport.FramesSent + st.Transport.FramesRecv
 		batchedGets += st.Transport.BatchedGets
-		httpFallbacks += st.Transport.HTTPFallbacks
 	}
 	return
-}
-
-// s12Protos reports the protocols one replica negotiated per peer.
-func s12Protos(rep *s12Replica) map[string]string {
-	out := map[string]string{}
-	st := rep.srv.Cluster().Stats()
-	if st.Transport == nil {
-		return out
-	}
-	for _, p := range st.Transport.Peers {
-		out[p.ID] = p.Proto
-	}
-	return out
 }

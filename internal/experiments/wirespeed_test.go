@@ -2,16 +2,14 @@ package experiments
 
 import (
 	"context"
-	"strings"
 	"testing"
 )
 
 // TestScenarioWireSpeedShape checks the acceptance criteria on S12. The
-// hard assertions — byte-identical rows across v1 and v2 forwards, zero
+// hard assertions — byte-identical rows from every entry replica, zero
 // replay errors through the hot burst and through the mid-burst kill,
 // and degraded serving actually engaging after the kill — run inside
-// the scenario and fail it; the shape test pins the three phases and
-// the mixed-protocol negotiation.
+// the scenario and fail it; the shape test pins the three phases.
 func TestScenarioWireSpeedShape(t *testing.T) {
 	r := quickRunner()
 	tab, err := r.Run(context.Background(), "S12")
@@ -26,13 +24,13 @@ func TestScenarioWireSpeedShape(t *testing.T) {
 			t.Fatalf("phase %d reports %s errors/mismatches, want 0\n%s", row+1, got, tab.Format())
 		}
 	}
-	// Phase 1 negotiated both protocols on one ring.
-	if v := cell(t, tab, 0, 6); !strings.Contains(v, "b=v2") || !strings.Contains(v, "c=v1") {
-		t.Fatalf("phase 1 note %q does not report the mixed v1/v2 negotiation\n%s", v, tab.Format())
+	// Phase 1 crossed the ring: answers owned elsewhere moved as frames.
+	if atoi(t, cell(t, tab, 0, 3)) == 0 {
+		t.Fatalf("phase 1 moved no frames — every answer was local, the comparison is vacuous\n%s", tab.Format())
 	}
-	// The hot burst actually used the binary transport, with coalescing.
+	// The hot burst left in coalesced batch frames.
 	if atoi(t, cell(t, tab, 1, 3)) == 0 || atoi(t, cell(t, tab, 1, 4)) == 0 {
-		t.Fatalf("hot burst moved no v2 frames or batched gets\n%s", tab.Format())
+		t.Fatalf("hot burst moved no frames or batched gets\n%s", tab.Format())
 	}
 	// The kill phase engaged degraded serving without losing a caller.
 	if atoi(t, cell(t, tab, 2, 5)) == 0 {

@@ -660,8 +660,8 @@ func (ns *namespace) admitCrawl(pred relation.Predicate, tuples []relation.Tuple
 // peek is the resident-only half of the lookup protocol: an exact
 // resident entry, else a covering complete answer (containment or crawl).
 // It never joins or starts a flight and never touches the inner database
-// — the peer answer-cache protocol serves /cluster/get with it, so a
-// lookup forwarded by another replica can only ever cost memory reads.
+// — the peer answer-cache protocol serves forwarded lookups with it, so
+// a lookup forwarded by another replica can only ever cost memory reads.
 func (ns *namespace) peek(p relation.Predicate) (hidden.Result, bool) {
 	return ns.peekFn(p, (*namespace).lookupLocked)
 }
@@ -703,7 +703,7 @@ func (ns *namespace) peekFn(p relation.Predicate, lookup func(*namespace, *shard
 }
 
 // admitAt publishes an externally produced answer for p — the peer
-// protocol's /cluster/put — exactly as if the inner database had just
+// protocol's put — exactly as if the inner database had just
 // returned it: admission against the budget, containment registration,
 // persistence. seq is the epoch the answer was produced under; a
 // namespace that has moved past it drops the admission (the shard-lock

@@ -203,7 +203,7 @@ func (c *Cache) Search(ctx context.Context, p relation.Predicate) (hidden.Result
 // covering complete answer, or a crawl-admitted region set — and reports
 // found=false otherwise. It never queries the inner database and never
 // joins or starts an in-flight search. The cluster layer serves peer
-// lookups (/cluster/get) and pre-forward local checks with it. Served
+// lookups and pre-forward local checks with it. Served
 // traffic counts toward the ordinary hit counters; a peek miss is not a
 // cache miss, because no inner query follows here.
 func (c *Cache) Peek(p relation.Predicate) (hidden.Result, bool) {
@@ -223,7 +223,7 @@ func (c *Cache) PeekShared(p relation.Predicate) (hidden.Result, bool) {
 // database had just returned it: the entry is admitted against the
 // budget, registered for containment reuse when complete, and persisted
 // when a store is configured. The cluster layer uses it to install
-// answers pushed by peer replicas (/cluster/put). The result is copied;
+// answers pushed by peer replicas. The result is copied;
 // the caller keeps ownership of its slice.
 func (c *Cache) Admit(p relation.Predicate, res hidden.Result) {
 	c.ns.admitAt(p, res, c.ns.epochSeq.Load())

@@ -160,10 +160,8 @@ func TestClusterStatsAndMetrics(t *testing.T) {
 		`qr2_cluster_fallbacks_total{self="a"}`,
 		`qr2_peer_frames_sent_total{self="a"}`,
 		`qr2_peer_batches_sent_total{self="a"}`,
-		`qr2_peer_http_fallbacks_total{self="a"}`,
 		`qr2_peer_batch_occupancy_bucket{self="a",le="+Inf"}`,
 		`qr2_peer_batch_occupancy_count{self="a"}`,
-		`qr2_peer_proto{self="a",peer="b"}`,
 		`qr2_peer_conns{self="a",peer="b"}`,
 	} {
 		if !strings.Contains(string(body), want) {
@@ -192,6 +190,32 @@ func TestClusterStatsAndMetrics(t *testing.T) {
 	}
 	if ring.Self != "a" || len(ring.Peers) != 2 {
 		t.Fatalf("/cluster/ring malformed: %+v", ring)
+	}
+
+	// The data plane has exactly one wire form — frames behind the
+	// Upgrade — so the JSON-over-HTTP endpoints it used to have are gone,
+	// while the control plane stays plain GET.
+	for _, probe := range []struct {
+		method, path string
+		want         int
+	}{
+		{http.MethodGet, "/cluster/get", http.StatusNotFound},
+		{http.MethodPost, "/cluster/put", http.StatusNotFound},
+		{http.MethodGet, "/cluster/obs", http.StatusOK},
+		{http.MethodGet, "/healthz", http.StatusOK},
+	} {
+		req, err := http.NewRequest(probe.method, urls["a"]+probe.path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != probe.want {
+			t.Fatalf("%s %s: %d, want %d", probe.method, probe.path, resp.StatusCode, probe.want)
+		}
 	}
 }
 

@@ -105,9 +105,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(&b, "# HELP qr2_cluster_strays Tracked fallback-admitted entries awaiting re-homing to their recovered owner.\n# TYPE qr2_cluster_strays gauge\nqr2_cluster_strays{self=\"%s\"} %d\n",
 			escapeLabel(cs.Self), cs.Strays)
 
-		// Peer protocol v2 transport: the qr2_peer_* families. Emitted
-		// whenever the transport exists, so a ring that never managed a
-		// v2 dial still shows zeros (and its fallback counters).
+		// Peer transport: the qr2_peer_* families.
 		if ts := cs.Transport; ts != nil {
 			self := escapeLabel(cs.Self)
 			for _, cr := range []struct {
@@ -118,9 +116,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 				{"qr2_peer_frames_recv_total", "Peer protocol v2 frames read (both roles: responses received plus server requests).", ts.FramesRecv},
 				{"qr2_peer_batches_sent_total", "opBatchGet frames sent (two or more lookups coalesced into one frame).", ts.BatchesSent},
 				{"qr2_peer_batched_gets_total", "Forwarded lookups that travelled inside a batch frame.", ts.BatchedGets},
-				{"qr2_peer_http_fallbacks_total", "Requests the v2 transport accepted but re-issued over HTTP v1 (dead conn, failed dial, response timeout).", ts.HTTPFallbacks},
 				{"qr2_peer_v2_dials_total", "Persistent v2 connection dials attempted.", ts.V2Dials},
-				{"qr2_peer_v2_dial_fails_total", "Persistent v2 connection dials that failed or negotiated down.", ts.V2DialFails},
+				{"qr2_peer_v2_dial_fails_total", "Persistent v2 connection dials that failed (refused connect, non-101 upgrade answer, bad hello).", ts.V2DialFails},
 			} {
 				fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s{self=\"%s\"} %d\n",
 					cr.metric, cr.help, cr.metric, cr.metric, self, cr.value)
@@ -141,17 +138,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			}
 			fmt.Fprintf(&b, "qr2_peer_batch_occupancy_sum{self=\"%s\"} %d\n", self, weighted)
 			fmt.Fprintf(&b, "qr2_peer_batch_occupancy_count{self=\"%s\"} %d\n", self, cum)
-			fmt.Fprintf(&b, "# HELP qr2_peer_proto Negotiated peer protocol (2, 1, or 0 while unknown).\n# TYPE qr2_peer_proto gauge\n")
 			fmt.Fprintf(&b, "# HELP qr2_peer_conns Live pooled v2 connections per peer.\n# TYPE qr2_peer_conns gauge\n")
 			for _, p := range ts.Peers {
-				proto := 0
-				switch p.Proto {
-				case "v2":
-					proto = 2
-				case "v1":
-					proto = 1
-				}
-				fmt.Fprintf(&b, "qr2_peer_proto{self=\"%s\",peer=\"%s\"} %d\n", self, escapeLabel(p.ID), proto)
 				fmt.Fprintf(&b, "qr2_peer_conns{self=\"%s\",peer=\"%s\"} %d\n", self, escapeLabel(p.ID), p.Conns)
 			}
 		}

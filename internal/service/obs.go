@@ -61,21 +61,6 @@ func (s *Server) finishRequest(t *obs.Trace, op, rid string, doc *queryDoc, err 
 	s.log.Info(op, attrs...)
 }
 
-// tracePeer wraps a peer-protocol request in a trace carrying the
-// forwarded request ID, so a /cluster/get shows up on the owner's
-// inspector correlated with the caller's trace.
-func (s *Server) tracePeer(w http.ResponseWriter, r *http.Request, op string) {
-	rid := requestID(r)
-	t := s.obsC.Start(op, rid)
-	if t != nil {
-		r = r.WithContext(obs.With(r.Context(), t))
-	}
-	s.mux.ServeHTTP(w, r)
-	if td := s.obsC.Done(t, nil); td != nil {
-		s.log.Debug(op, "id", rid, "elapsed", time.Duration(td.ElapsedNS))
-	}
-}
-
 // Observability exposes the server's trace collector (nil when tracing
 // is disabled) so harnesses — cmd/qr2bench's workload mode — can read
 // the same histograms /metrics exports.

@@ -70,7 +70,8 @@
 //	GET  /debug/requests     recent and slow requests, human-readable
 //	GET  /metrics            counters plus per-stage latency histograms,
 //	                         Prometheus text format
-//	GET  /cluster/get, /cluster/put, /cluster/ring  peer protocol (cluster mode)
+//	GET  /cluster/v2         peer-protocol session Upgrade (cluster mode)
+//	GET  /cluster/ring, /cluster/obs  ring membership + epochs, obs snapshot
 //	GET  /                   minimal HTML UI over the same operations
 //	POST /ui/query, /ui/next HTML form variants
 //	GET  /healthz            liveness
@@ -174,18 +175,6 @@ type Config struct {
 	// ClusterProbeInterval paces the peer health prober (default 5s).
 	// The prober itself is started by running Cluster().Start.
 	ClusterProbeInterval time.Duration
-	// DisablePeerV2 pins this replica to peer protocol v1 (JSON over
-	// HTTP): it neither serves nor dials the persistent binary
-	// transport. Peers that do speak v2 fall back to v1 against it, so
-	// a mixed-version ring keeps working.
-	DisablePeerV2 bool
-	// PeerConns sizes the per-peer persistent connection pool of the v2
-	// transport (0 = cluster.DefaultPeerConns).
-	PeerConns int
-	// PeerBatchWindow makes each v2 batch flusher linger before
-	// draining, trading forward latency for bigger coalesced frames.
-	// Zero (the default) is pure group commit.
-	PeerBatchWindow time.Duration
 	// ChangeProbeInterval enables live change detection: each source is
 	// probed with sentinel queries on this period (StartChangeProbes runs
 	// the loops), and a digest mismatch bumps the source's epoch — wiping
@@ -345,9 +334,6 @@ func New(cfg Config) (*Server, error) {
 			ProbeInterval: cfg.ClusterProbeInterval,
 			Epochs:        s.epochs,
 			Retry:         cfg.PeerRetry,
-			DisableV2:     cfg.DisablePeerV2,
-			PeerConns:     cfg.PeerConns,
-			BatchWindow:   cfg.PeerBatchWindow,
 		}
 		if s.obsC != nil {
 			// The node polls the fleet's /cluster/obs endpoints each
@@ -489,20 +475,8 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// ServeHTTP implements http.Handler. Peer-protocol requests are wrapped
-// in a trace carrying the forwarded X-QR2-Request ID, so a cluster get
-// appears on the owner's inspector correlated with the caller's trace.
+// ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if s.obsC != nil {
-		switch r.URL.Path {
-		case "/cluster/get":
-			s.tracePeer(w, r, "cluster-get")
-			return
-		case "/cluster/put":
-			s.tracePeer(w, r, "cluster-put")
-			return
-		}
-	}
 	s.mux.ServeHTTP(w, r)
 }
 
