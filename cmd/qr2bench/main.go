@@ -1,20 +1,15 @@
 // Command qr2bench regenerates the QR2 paper's figures and demonstration
-// scenarios as plain-text tables (see DESIGN.md §4 for the experiment
-// index and EXPERIMENTS.md for recorded results).
+// scenarios as plain-text tables. The experiment IDs and what each one
+// reproduces are listed in internal/experiments/experiments.go (and by
+// qr2bench -list). Latency and throughput numbers of record come from the
+// benchmark instead: see bench/README.md and BENCHMARK.json.
 //
 // Usage:
 //
 //	qr2bench                 # run every experiment at full size
 //	qr2bench -run F2a,S3     # run selected experiments
 //	qr2bench -quick          # small catalogs (seconds instead of minutes)
-//
-// With -workload it instead drives an in-process QR2 service through a
-// mixed cold/warm query schedule and writes the per-path request latency
-// and per-stage span latency percentiles — measured by the service's own
-// internal/obs histograms, the same data /metrics exports — to
-// -workload-out (the checked-in BENCH_workload.json):
-//
-//	qr2bench -workload -workload-out BENCH_workload.json
+//	qr2bench -list           # list experiment ids
 package main
 
 import (
@@ -39,23 +34,8 @@ func main() {
 		seed     = flag.Int64("seed", 0, "generator seed (0 = default 7)")
 		topH     = flag.Int("top", 0, "get-next operations per measurement (0 = default 10)")
 		latency  = flag.Duration("latency", 0, "simulated per-query web DB latency (0 = default 1.2s)")
-
-		wl    = flag.Bool("workload", false, "run the latency workload instead of the experiments and write -workload-out")
-		wlOut = flag.String("workload-out", "BENCH_workload.json", "output path for the -workload latency report")
 	)
 	flag.Parse()
-
-	if *wl {
-		seed := *seed
-		if seed == 0 {
-			seed = 7
-		}
-		if err := latencyWorkload(*wlOut, *quick, seed); err != nil {
-			fmt.Fprintf(os.Stderr, "qr2bench: workload: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *list {
 		for _, id := range experiments.IDs() {

@@ -91,6 +91,7 @@ package main
 import (
 	"context"
 	"flag"
+	"fmt"
 	"log"
 	"log/slog"
 	"net/http"
@@ -237,66 +238,58 @@ func main() {
 			DegradedServe:    *degradedServe,
 		},
 	}
-	if *peers != "" {
+	peerList, err := parseNamedURLs("peers", *peers)
+	if err != nil {
+		log.Fatalf("qr2server: %v", err)
+	}
+	if len(peerList) > 0 {
 		cfg.Peers = map[string]string{}
-		for _, pair := range strings.Split(*peers, ",") {
-			id, url, ok := strings.Cut(strings.TrimSpace(pair), "=")
-			if !ok || id == "" {
-				log.Fatalf("qr2server: bad -peers entry %q (want id=url)", pair)
-			}
-			cfg.Peers[id] = url
+		for _, p := range peerList {
+			cfg.Peers[p.name] = p.url
 		}
 	}
-	if *sources != "" {
-		for _, name := range strings.Split(*sources, ",") {
-			name = strings.TrimSpace(name)
-			if name == "" {
-				continue
-			}
-			var cat *datagen.Catalog
-			switch name {
-			case "bluenile":
-				cat = datagen.BlueNile(*n, *seed)
-			case "zillow":
-				cat = datagen.Zillow(*n, *seed+1)
-			default:
-				log.Fatalf("qr2server: unknown source %q", name)
-			}
-			db, err := hidden.NewLocal(name, cat.Rel, *systemK, cat.Rank)
-			if err != nil {
-				log.Fatalf("qr2server: %v", err)
-			}
-			cfg.Sources[name] = service.SourceConfig{
-				DB:                 db,
-				DenseStore:         openStore(*dense, name+".dense"),
-				DenseResidentBytes: *denseResident,
-				Cache:              cacheFor(name),
-				Popular:            popular[name],
-			}
-			log.Printf("qr2server: source %s: %d tuples, system-k %d", name, cat.Rel.Len(), *systemK)
-		}
+	local, remotes, err := parseSources(*sources, *remote)
+	if err != nil {
+		log.Fatalf("qr2server: %v", err)
 	}
-	if *remote != "" {
-		for _, pair := range strings.Split(*remote, ",") {
-			name, url, ok := strings.Cut(strings.TrimSpace(pair), "=")
-			if !ok {
-				log.Fatalf("qr2server: bad -remote entry %q (want name=url)", pair)
-			}
-			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-			client, err := wdbhttp.Dial(ctx, url, nil, wdbhttp.WithRetry(*dialRetries, *dialBackoff))
-			cancel()
-			if err != nil {
-				log.Fatalf("qr2server: dial %s: %v", url, err)
-			}
-			cfg.Sources[name] = service.SourceConfig{
-				DB:                 client,
-				DenseStore:         openStore(*dense, name+".dense"),
-				DenseResidentBytes: *denseResident,
-				Cache:              cacheFor(name),
-				Popular:            popular[name],
-			}
-			log.Printf("qr2server: source %s: remote %s, system-k %d", name, url, client.SystemK())
+	for _, name := range local {
+		var cat *datagen.Catalog
+		switch name {
+		case "bluenile":
+			cat = datagen.BlueNile(*n, *seed)
+		case "zillow":
+			cat = datagen.Zillow(*n, *seed+1)
+		default:
+			log.Fatalf("qr2server: unknown source %q", name)
 		}
+		db, err := hidden.NewLocal(name, cat.Rel, *systemK, cat.Rank)
+		if err != nil {
+			log.Fatalf("qr2server: %v", err)
+		}
+		cfg.Sources[name] = service.SourceConfig{
+			DB:                 db,
+			DenseStore:         openStore(*dense, name+".dense"),
+			DenseResidentBytes: *denseResident,
+			Cache:              cacheFor(name),
+			Popular:            popular[name],
+		}
+		log.Printf("qr2server: source %s: %d tuples, system-k %d", name, cat.Rel.Len(), *systemK)
+	}
+	for _, r := range remotes {
+		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+		client, err := wdbhttp.Dial(ctx, r.url, nil, wdbhttp.WithRetry(*dialRetries, *dialBackoff))
+		cancel()
+		if err != nil {
+			log.Fatalf("qr2server: dial %s: %v", r.url, err)
+		}
+		cfg.Sources[r.name] = service.SourceConfig{
+			DB:                 client,
+			DenseStore:         openStore(*dense, r.name+".dense"),
+			DenseResidentBytes: *denseResident,
+			Cache:              cacheFor(r.name),
+			Popular:            popular[r.name],
+		}
+		log.Printf("qr2server: source %s: remote %s, system-k %d", r.name, r.url, client.SystemK())
 	}
 
 	srv, err := service.New(cfg)
@@ -333,6 +326,60 @@ func main() {
 	}
 	log.Printf("qr2server: listening on %s (default algorithm %s)", *addr, *algo)
 	log.Fatal(httpSrv.ListenAndServe())
+}
+
+// namedURL is one name=url entry of -remote or -peers.
+type namedURL struct{ name, url string }
+
+// parseNamedURLs parses the comma-separated name=url list given to flag
+// (-remote and -peers share the form). Every entry needs a non-empty
+// name and URL, and no name may appear twice: a repeat would silently
+// replace the earlier entry.
+func parseNamedURLs(flag, list string) ([]namedURL, error) {
+	if list == "" {
+		return nil, nil
+	}
+	var out []namedURL
+	seen := map[string]bool{}
+	for _, entry := range strings.Split(list, ",") {
+		name, url, ok := strings.Cut(strings.TrimSpace(entry), "=")
+		if !ok || name == "" || url == "" {
+			return nil, fmt.Errorf("bad -%s entry %q (want name=url)", flag, entry)
+		}
+		if seen[name] {
+			return nil, fmt.Errorf("-%s names %q twice", flag, name)
+		}
+		seen[name] = true
+		out = append(out, namedURL{name, url})
+	}
+	return out, nil
+}
+
+// parseSources splits -sources (in-process simulator names, blank
+// entries skipped) and -remote, rejecting a source named twice within or
+// across the two flags.
+func parseSources(sources, remote string) ([]string, []namedURL, error) {
+	remotes, err := parseNamedURLs("remote", remote)
+	if err != nil {
+		return nil, nil, err
+	}
+	seen := map[string]bool{}
+	for _, r := range remotes {
+		seen[r.name] = true
+	}
+	var local []string
+	for _, name := range strings.Split(sources, ",") {
+		name = strings.TrimSpace(name)
+		if name == "" {
+			continue
+		}
+		if seen[name] {
+			return nil, nil, fmt.Errorf("source %q named twice in -sources/-remote", name)
+		}
+		seen[name] = true
+		local = append(local, name)
+	}
+	return local, remotes, nil
 }
 
 // pprofMux builds a mux exposing only the net/http/pprof handlers, kept

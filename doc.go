@@ -154,8 +154,8 @@
 // response carries its trace ID; request IDs propagate to peer forwards
 // via the X-QR2-Request header so one lookup is correlatable across
 // replicas. Tracing is on by default and costs ~6 ns per hook when
-// disabled (BENCH_obs.json; -trace-buffer -1 disables, -slow-query gates
-// the slow log).
+// disabled (BenchmarkSpanDisabled in internal/obs; -trace-buffer -1
+// disables, -slow-query gates the slow log).
 //
 // # Distributed tracing & fleet metrics
 //
@@ -182,9 +182,8 @@
 // rates (qr2_slo_*), so a short burst on one replica is visible even
 // when every per-replica cumulative page stays under the objective.
 // `qr2cli obs` prints the merged fleet percentiles and the slowest
-// stitched traces from the terminal; `qr2bench -workload` brackets its
-// run with snapshots and reports the run's own burn rates. Experiment
-// S11 demonstrates all three layers on a live three-replica ring.
+// stitched traces from the terminal. Experiment S11 demonstrates all
+// three layers on a live three-replica ring.
 //
 // Fleet and SLO metric families (all on every replica's /metrics):
 //
@@ -218,8 +217,11 @@
 // Pair a profile with GET /debug/requests on the public address to match
 // CPU time against the stages of the slow requests that spent it.
 //
-// See README.md for the architecture, DESIGN.md for the system inventory
-// and experiment index, and EXPERIMENTS.md for the reproduced evaluation.
-// The benchmark file bench_test.go in this directory regenerates every
-// figure and demonstration scenario of the paper.
+// The experiment index — which ID reproduces which figure or scenario —
+// is the ID table in internal/experiments/experiments.go; qr2bench -list
+// prints the IDs and qr2bench -run regenerates their tables. The
+// benchmark file bench_test.go in this directory regenerates every
+// figure and demonstration scenario of the paper. End-to-end latency,
+// throughput and CPU numbers of record come from bench/ (see
+// bench/README.md and BENCHMARK.json).
 package repro

@@ -1,7 +1,7 @@
 // Package experiments regenerates every measurable figure and demonstration
 // scenario of the QR2 paper as printable tables.
 //
-// Experiment IDs (see DESIGN.md §4 for the mapping to the paper):
+// Experiment IDs and the part of the paper each one reproduces:
 //
 //	F2a  Fig 2(a): parallel processed queries per iteration, 3D, Blue Nile
 //	F2b  Fig 2(b): parallel processed queries per iteration, 2D, Blue Nile
@@ -17,11 +17,13 @@
 //	S9   source-fault resilience: stall, kill and heal a source mid-run
 //	S10  region-scoped epochs: region-confined mutation, surgical invalidation
 //	S11  cluster observability plane: stitched traces, fleet roll-up, SLO burn rates
-//	S12  wire-speed peer protocol v2: mixed v1/v2 ring, hot trace, mid-burst kill
+//	S12  wire-speed peer protocol: three-replica ring, hot trace, mid-burst kill
 //	A1   ablation: parallel vs sequential processing
 //	A2   ablation: dense-region threshold sweep
 //	A3   ablation: tie-group mass vs crawling cost
 //	A4   ablation: the user-level session cache
+//	A5   sweep: query cost vs the web database's system-k
+//	A6   sweep: per-page get-next cost as a stream is drained
 //
 // Absolute numbers come from the synthetic catalogs in internal/datagen,
 // not the 2018 live sites; the comparisons the paper makes (who wins, by

@@ -108,7 +108,7 @@ func (r *Runner) ScenarioWireSpeed(ctx context.Context) (Table, error) {
 	traces := workload.SynthTraces(18, 6, r.cfg.Seed, forms)
 	res, err := workload.Replay(workload.ReplayConfig{
 		Targets: targets, Traces: traces,
-		Mode: workload.Closed, Concurrency: 6,
+		Concurrency: 6,
 	})
 	if err != nil {
 		return Table{}, err
@@ -139,9 +139,9 @@ func (r *Runner) ScenarioWireSpeed(ctx context.Context) (Table, error) {
 		byID["b"].srv.Cluster().CloseV2Conns() // a crash severs hijacked conns too
 	}()
 	res, err = workload.Replay(workload.ReplayConfig{
-		Targets: []string{byID["a"].url, byID["c"].url},
-		Traces:  workload.SynthTraces(18, 6, r.cfg.Seed+1, forms),
-		Mode:    workload.Closed, Concurrency: 6,
+		Targets:     []string{byID["a"].url, byID["c"].url},
+		Traces:      workload.SynthTraces(18, 6, r.cfg.Seed+1, forms),
+		Concurrency: 6,
 		Observe: func(trace, step, status int, body []byte) {
 			if seen.Add(1) == killAt {
 				killOnce.Do(func() { close(killed) })

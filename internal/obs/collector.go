@@ -7,7 +7,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -382,80 +381,4 @@ func (c *Collector) WriteMetrics(w io.Writer) {
 		fmt.Fprintf(w, "qr2_request_latency_seconds_sum{%s} %g\n", labels, float64(sum)/1e9)
 		fmt.Fprintf(w, "qr2_request_latency_seconds_count{%s} %d\n", labels, cum)
 	}
-}
-
-// Percentiles summarises one histogram for reports.
-type Percentiles struct {
-	Count uint64  `json:"count"`
-	P50   float64 `json:"p50_s"`
-	P90   float64 `json:"p90_s"`
-	P99   float64 `json:"p99_s"`
-	P999  float64 `json:"p999_s"`
-	MeanS float64 `json:"mean_s"`
-}
-
-func percentilesOf(h *Histogram) Percentiles {
-	counts, sum := h.snapshot()
-	var total uint64
-	for _, n := range counts {
-		total += n
-	}
-	p := Percentiles{Count: total}
-	if total == 0 {
-		return p
-	}
-	p.P50 = h.Quantile(0.5).Seconds()
-	p.P90 = h.Quantile(0.9).Seconds()
-	p.P99 = h.Quantile(0.99).Seconds()
-	p.P999 = h.Quantile(0.999).Seconds()
-	p.MeanS = float64(sum) / 1e9 / float64(total)
-	return p
-}
-
-// RequestPercentiles returns the per-path request latency summaries for
-// paths that saw traffic, ordered by path name.
-func (c *Collector) RequestPercentiles() map[string]Percentiles {
-	if c == nil {
-		return nil
-	}
-	out := make(map[string]Percentiles)
-	for p := Path(0); p < numPaths; p++ {
-		h := &c.request[p]
-		if h.Count() == 0 {
-			continue
-		}
-		out[p.String()] = percentilesOf(h)
-	}
-	return out
-}
-
-// StagePercentiles returns per-stage latency summaries (all outcomes of
-// a stage merged by quantile over the combined snapshot is not possible
-// without re-bucketing, so each stage+outcome pair reports separately).
-func (c *Collector) StagePercentiles() map[string]Percentiles {
-	if c == nil {
-		return nil
-	}
-	out := make(map[string]Percentiles)
-	for s := Stage(0); s < numStages; s++ {
-		for o := Outcome(0); o < numOutcomes; o++ {
-			h := &c.stage[s][o]
-			if h.Count() == 0 {
-				continue
-			}
-			out[s.String()+"/"+o.String()] = percentilesOf(h)
-		}
-	}
-	return out
-}
-
-// SortedKeys returns a map's keys in sorted order; report writers use it
-// for deterministic JSON artifacts.
-func SortedKeys(m map[string]Percentiles) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

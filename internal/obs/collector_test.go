@@ -187,17 +187,16 @@ func TestPercentiles(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		finishOne(c, "r", func(tr *Trace) { tr.Start(StagePoolLookup).End(OutcomeHit) })
 	}
-	req := c.RequestPercentiles()
-	if len(req) != 1 || req["pool-hit"].Count != 20 || req["pool-hit"].P50 <= 0 {
+	snap := c.Snapshot("r")
+	if len(snap.Request) != 1 {
+		t.Fatalf("request paths = %v, want only pool-hit", snap.Request)
+	}
+	req := snap.Request["pool-hit"].Percentiles()
+	if req.Count != 20 || req.P50 <= 0 || req.P99 < req.P50 || req.MeanS <= 0 {
 		t.Fatalf("request percentiles = %+v", req)
 	}
-	st := c.StagePercentiles()
-	if st["pool_lookup/hit"].Count != 20 {
+	if st := snap.Stage["pool_lookup/hit"].Percentiles(); st.Count != 20 || st.P50 <= 0 {
 		t.Fatalf("stage percentiles = %+v", st)
-	}
-	keys := SortedKeys(map[string]Percentiles{"b": {}, "a": {}, "c": {}})
-	if keys[0] != "a" || keys[2] != "c" {
-		t.Fatalf("SortedKeys = %v", keys)
 	}
 }
 
@@ -237,7 +236,7 @@ func TestCollectorConcurrency(t *testing.T) {
 				rec = httptest.NewRecorder()
 				c.ServeDebug(rec, httptest.NewRequest("GET", "/debug/requests", nil))
 				c.WriteMetrics(io.Discard)
-				c.RequestPercentiles()
+				c.Snapshot("r")
 			}
 		}()
 	}

@@ -82,16 +82,9 @@ func (h *Histogram) Count() uint64 {
 	return total
 }
 
-// Quantile estimates the q-quantile (0 < q <= 1) as the upper bound of
-// the bucket containing it. Returns 0 for an empty histogram.
-func (h *Histogram) Quantile(q float64) time.Duration {
-	counts, _ := h.snapshot()
-	return quantileOf(counts[:], q)
-}
-
-// quantileOf is the bucket-upper-bound quantile over a raw count slice,
-// shared by live histograms and merged snapshot data so both report
-// identical values for identical counts.
+// quantileOf estimates the q-quantile (0 < q <= 1) over a raw count
+// slice as the upper bound of the bucket containing it. Returns 0 when
+// the counts are empty.
 func quantileOf(counts []uint64, q float64) time.Duration {
 	var total uint64
 	for _, c := range counts {

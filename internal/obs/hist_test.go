@@ -57,7 +57,7 @@ func TestBucketLeMatchesBuckets(t *testing.T) {
 
 func TestQuantileAndCount(t *testing.T) {
 	var h Histogram
-	if h.Quantile(0.5) != 0 {
+	if histData(&h).Quantile(0.5) != 0 {
 		t.Fatal("empty histogram quantile must be 0")
 	}
 	// 90 fast observations and 10 slow ones: p50 in the fast bucket,
@@ -71,10 +71,10 @@ func TestQuantileAndCount(t *testing.T) {
 	if h.Count() != 100 {
 		t.Fatalf("Count = %d", h.Count())
 	}
-	if got := h.Quantile(0.5); got != 128 {
+	if got := histData(&h).Quantile(0.5); got != 128 {
 		t.Fatalf("p50 = %d, want 128 (upper bound of (64,128])", got)
 	}
-	if got := h.Quantile(0.99); got < 1_000_000 || got > 2_000_000 {
+	if got := histData(&h).Quantile(0.99); got < 1_000_000 || got > 2_000_000 {
 		t.Fatalf("p99 = %d, want within (2^19, 2^21]", got)
 	}
 }

@@ -45,8 +45,8 @@ func TestNilSafety(t *testing.T) {
 	if c.Recent(10, false) != nil {
 		t.Fatal("nil collector Recent must return nil")
 	}
-	if c.RequestPercentiles() != nil || c.StagePercentiles() != nil {
-		t.Fatal("nil collector percentiles must return nil")
+	if snap := c.Snapshot("r"); len(snap.Request) != 0 || len(snap.Stage) != 0 || snap.Traces != 0 {
+		t.Fatalf("nil collector Snapshot must be empty, got %+v", snap)
 	}
 	c.WriteMetrics(nil) // must not panic
 }

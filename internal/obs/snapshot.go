@@ -62,8 +62,8 @@ func (h *HistData) Count() uint64 {
 	return total
 }
 
-// Quantile estimates the q-quantile exactly as Histogram.Quantile does:
-// the upper bound of the bucket containing it. Returns 0 when empty.
+// Quantile estimates the q-quantile (0 < q <= 1) as the upper bound of
+// the bucket containing it. Returns 0 when empty.
 func (h *HistData) Quantile(q float64) time.Duration {
 	if h == nil {
 		return 0
@@ -71,7 +71,17 @@ func (h *HistData) Quantile(q float64) time.Duration {
 	return quantileOf(h.Counts, q)
 }
 
-// Percentiles summarises the data in the same shape collectors report.
+// Percentiles summarises one histogram for reports.
+type Percentiles struct {
+	Count uint64  `json:"count"`
+	P50   float64 `json:"p50_s"`
+	P90   float64 `json:"p90_s"`
+	P99   float64 `json:"p99_s"`
+	P999  float64 `json:"p999_s"`
+	MeanS float64 `json:"mean_s"`
+}
+
+// Percentiles summarises the data for reports.
 func (h *HistData) Percentiles() Percentiles {
 	p := Percentiles{Count: h.Count()}
 	if p.Count == 0 {

@@ -141,8 +141,8 @@ func benchRegionFill(b *testing.B, c *Cache) {
 // BenchmarkRegionWipe1k prices one region-scoped bump over a namespace
 // holding 1k resident entries: every entry pays the key-decoded
 // rect-intersection check, the intersecting half is dropped and the
-// disjoint half survives — the selective wipe BENCH_epoch.json records
-// against BenchmarkFullWipe1k.
+// disjoint half survives — the selective wipe, priced against
+// BenchmarkFullWipe1k.
 func BenchmarkRegionWipe1k(b *testing.B) {
 	reg := epoch.NewRegistry()
 	c, err := New(testDB(b, 2000, 20), Config{Epochs: reg})

@@ -11,7 +11,7 @@ import (
 // BenchmarkSearchHappyPath measures the per-call overhead the policy
 // wrapper adds when the source is healthy — breaker admission, attempt
 // bookkeeping and the per-attempt deadline context. CI gates this under
-// 1 µs (BENCH_resilience.json records the measured number).
+// 1 µs.
 func BenchmarkSearchHappyPath(b *testing.B) {
 	db := &fakeDB{name: "src", fn: func(n int) (hidden.Result, error) {
 		return hidden.Result{}, nil

@@ -61,13 +61,6 @@ func (s *Server) finishRequest(t *obs.Trace, op, rid string, doc *queryDoc, err 
 	s.log.Info(op, attrs...)
 }
 
-// Observability exposes the server's trace collector (nil when tracing
-// is disabled) so harnesses — cmd/qr2bench's workload mode — can read
-// the same histograms /metrics exports.
-func (s *Server) Observability() *obs.Collector {
-	return s.obsC
-}
-
 // discardLogger drops everything; the service is silent unless the
 // deployment provides Config.Logger.
 func discardLogger() *slog.Logger {

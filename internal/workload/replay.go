@@ -8,32 +8,22 @@ import (
 	"net/http"
 	"net/http/cookiejar"
 	"net/url"
-	"sort"
 	"sync"
-	"time"
-
-	"repro/internal/obs"
 )
 
-// This file is the multi-user trace-replaying load driver. A Trace is
-// one user's session — a sequence of query forms with get-next
-// follow-ups — and Replay drives many traces against one or more
-// replicas concurrently, either closed-loop (a fixed worker pool, the
-// next session starts when a worker frees up) or open-loop (sessions
-// arrive on a fixed schedule regardless of how the service is coping,
-// so queueing delay shows up in the measured latency instead of being
-// absorbed by back-pressure). The driver measures its own per-request
-// wall time; per-path attribution comes from the service's obs
-// snapshots via RequestDelta, so one run yields both views.
+// This file is the multi-user trace replayer. A Trace is one user's
+// session — a sequence of query forms with get-next follow-ups — and
+// Replay drives many traces closed-loop against one or more replicas
+// concurrently: a fixed worker pool, the next session starts when a
+// worker frees up. Latency and throughput are measured by bench/, not
+// here; Replay counts requests and errors and hands every query
+// response to the caller.
 
 // Step is one request of a user session: a query form plus the number
-// of get-next follow-up calls issued in the same session. Think, when
-// set, delays the step after the previous one completes — closed-loop
-// think time; open-loop pacing comes from the arrival schedule.
+// of get-next follow-up calls issued in the same session.
 type Step struct {
-	Form  url.Values
-	Next  int
-	Think time.Duration
+	Form url.Values
+	Next int
 }
 
 // Trace is one user's session.
@@ -70,85 +60,30 @@ func SynthTraces(users, steps int, seed int64, forms []url.Values) []Trace {
 	return traces
 }
 
-// ReplayMode selects how sessions are admitted.
-type ReplayMode string
-
-const (
-	// Closed runs sessions from a fixed-size worker pool.
-	Closed ReplayMode = "closed"
-	// Open starts sessions on a fixed arrival schedule.
-	Open ReplayMode = "open"
-)
-
 // ReplayConfig configures one Replay run.
 type ReplayConfig struct {
 	// Targets are replica base URLs; trace i is pinned to
 	// Targets[i%len(Targets)], spreading users across the ring.
 	Targets []string
 	Traces  []Trace
-	Mode    ReplayMode
-	// Concurrency is the closed-loop worker count (default 1).
+	// Concurrency is the worker count (default 1).
 	Concurrency int
-	// Rate is the open-loop session arrival rate per second.
-	Rate float64
-	// Transport, when set, is shared by every session's client (cookie
-	// jars stay per-session). Defaults to a fresh http.Transport.
-	Transport http.RoundTripper
 	// Observe, when set, receives every query response body (fully
 	// read) — the hook experiments use to compare answers across
 	// replicas. Not called for get-next requests.
 	Observe func(trace, step int, status int, body []byte)
 }
 
-// ReplayResult is what one Replay run measured.
+// ReplayResult is what one Replay run counted.
 type ReplayResult struct {
-	Requests  uint64          // HTTP requests issued (queries + get-nexts)
-	Errors    uint64          // transport failures or non-200 statuses
-	Elapsed   time.Duration   // wall time of the whole run
-	Latencies []time.Duration // driver-observed per-request wall times
+	Requests uint64 // HTTP requests issued (queries + get-nexts)
+	Errors   uint64 // transport failures or non-200 statuses
 }
 
-// Throughput is requests per wall second.
-func (r *ReplayResult) Throughput() float64 {
-	if r.Elapsed <= 0 {
-		return 0
-	}
-	return float64(r.Requests) / r.Elapsed.Seconds()
-}
-
-// DriverPercentiles computes exact percentiles over the driver-observed
-// latencies (the service-side histograms are bucketed; the driver keeps
-// every sample).
-func (r *ReplayResult) DriverPercentiles() obs.Percentiles {
-	n := len(r.Latencies)
-	if n == 0 {
-		return obs.Percentiles{}
-	}
-	sorted := make([]time.Duration, n)
-	copy(sorted, r.Latencies)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	at := func(q float64) float64 {
-		i := int(q * float64(n-1))
-		return sorted[i].Seconds()
-	}
-	var sum time.Duration
-	for _, d := range sorted {
-		sum += d
-	}
-	return obs.Percentiles{
-		Count: uint64(n),
-		P50:   at(0.5),
-		P90:   at(0.9),
-		P99:   at(0.99),
-		P999:  at(0.999),
-		MeanS: sum.Seconds() / float64(n),
-	}
-}
-
-// Replay drives the configured traces and returns what the driver
-// measured. An error is returned only for a misconfigured run; request
-// failures are counted in ReplayResult.Errors so a degraded service
-// yields numbers, not an abort.
+// Replay drives the configured traces and returns what it counted. An
+// error is returned only for a misconfigured run; request failures are
+// counted in ReplayResult.Errors so a degraded service yields numbers,
+// not an abort.
 func Replay(cfg ReplayConfig) (*ReplayResult, error) {
 	if len(cfg.Targets) == 0 {
 		return nil, fmt.Errorf("workload: replay needs at least one target")
@@ -156,94 +91,63 @@ func Replay(cfg ReplayConfig) (*ReplayResult, error) {
 	if len(cfg.Traces) == 0 {
 		return nil, fmt.Errorf("workload: replay needs at least one trace")
 	}
-	transport := cfg.Transport
-	if transport == nil {
-		transport = &http.Transport{MaxIdleConnsPerHost: 64}
-	}
+	transport := &http.Transport{MaxIdleConnsPerHost: 64}
+	defer transport.CloseIdleConnections()
 
 	res := &ReplayResult{}
 	var mu sync.Mutex
-	record := func(d time.Duration, ok bool) {
+	record := func(ok bool) {
 		mu.Lock()
 		res.Requests++
 		if !ok {
 			res.Errors++
 		}
-		res.Latencies = append(res.Latencies, d)
 		mu.Unlock()
 	}
 
-	started := time.Now()
-	switch cfg.Mode {
-	case Closed, "":
-		workers := cfg.Concurrency
-		if workers < 1 {
-			workers = 1
-		}
-		ch := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range ch {
-					runTrace(cfg, transport, i, record)
-				}
-			}()
-		}
-		for i := range cfg.Traces {
-			ch <- i
-		}
-		close(ch)
-		wg.Wait()
-	case Open:
-		if cfg.Rate <= 0 {
-			return nil, fmt.Errorf("workload: open-loop replay needs Rate > 0")
-		}
-		interval := time.Duration(float64(time.Second) / cfg.Rate)
-		var wg sync.WaitGroup
-		for i := range cfg.Traces {
-			// Absolute schedule, so a slow session never delays later
-			// arrivals — the defining property of an open loop.
-			time.Sleep(time.Until(started.Add(time.Duration(i) * interval)))
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				runTrace(cfg, transport, i, record)
-			}(i)
-		}
-		wg.Wait()
-	default:
-		return nil, fmt.Errorf("workload: unknown replay mode %q", cfg.Mode)
+	workers := cfg.Concurrency
+	if workers < 1 {
+		workers = 1
 	}
-	res.Elapsed = time.Since(started)
+	ch := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range ch {
+				runTrace(cfg, transport, i, record)
+			}
+		}()
+	}
+	for i := range cfg.Traces {
+		ch <- i
+	}
+	close(ch)
+	wg.Wait()
 	return res, nil
 }
 
 // runTrace replays one session against its pinned target from a fresh
 // cookie jar, so the service sees a distinct user.
-func runTrace(cfg ReplayConfig, transport http.RoundTripper, idx int, record func(time.Duration, bool)) {
+func runTrace(cfg ReplayConfig, transport http.RoundTripper, idx int, record func(bool)) {
 	base := cfg.Targets[idx%len(cfg.Targets)]
 	trace := cfg.Traces[idx]
 	jar, err := cookiejar.New(nil)
 	if err != nil {
-		record(0, false)
+		record(false)
 		return
 	}
 	client := &http.Client{Transport: transport, Jar: jar}
 	for s, step := range trace.Steps {
-		if step.Think > 0 {
-			time.Sleep(step.Think)
-		}
-		began := time.Now()
 		resp, err := client.PostForm(base+"/api/query", step.Form)
 		if err != nil {
-			record(time.Since(began), false)
+			record(false)
 			continue
 		}
 		body, err := io.ReadAll(resp.Body)
 		resp.Body.Close() // ReadAll drained it; the conn pools
-		record(time.Since(began), err == nil && resp.StatusCode == http.StatusOK)
+		record(err == nil && resp.StatusCode == http.StatusOK)
 		if err != nil {
 			continue
 		}
@@ -260,44 +164,14 @@ func runTrace(cfg ReplayConfig, transport http.RoundTripper, idx int, record fun
 			continue
 		}
 		for n := 0; n < step.Next; n++ {
-			began := time.Now()
 			resp, err := client.PostForm(base+"/api/next", url.Values{"qid": {doc.QID}})
 			if err != nil {
-				record(time.Since(began), false)
+				record(false)
 				continue
 			}
 			_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
 			resp.Body.Close()
-			record(time.Since(began), resp.StatusCode == http.StatusOK)
+			record(resp.StatusCode == http.StatusOK)
 		}
 	}
-}
-
-// RequestDelta subtracts two obs snapshots bracketing a replay point
-// and returns the per-path request-latency percentiles of exactly that
-// point — how one accumulating collector yields per-GOMAXPROCS rows.
-func RequestDelta(before, after *obs.Snapshot) map[string]obs.Percentiles {
-	out := map[string]obs.Percentiles{}
-	if after == nil {
-		return out
-	}
-	for path, ah := range after.Request {
-		d := &obs.HistData{Counts: append([]uint64(nil), ah.Counts...), Sum: ah.Sum}
-		if before != nil {
-			if bh := before.Request[path]; bh != nil {
-				for i := range d.Counts {
-					if i < len(bh.Counts) && d.Counts[i] >= bh.Counts[i] {
-						d.Counts[i] -= bh.Counts[i]
-					}
-				}
-				if d.Sum >= bh.Sum {
-					d.Sum -= bh.Sum
-				}
-			}
-		}
-		if d.Count() > 0 {
-			out[path] = d.Percentiles()
-		}
-	}
-	return out
 }
