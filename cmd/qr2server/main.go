@@ -173,12 +173,6 @@ func main() {
 			"how long an open breaker rejects calls before admitting half-open probes")
 		breakerProbes = flag.Int("breaker-probes", 1,
 			"concurrent half-open probe calls admitted per recovery window")
-		hedgeAfter = flag.Duration("hedge-after", 0,
-			"launch one duplicate web-database attempt when the first has not answered within this duration (0 disables)")
-		sourceParallel = flag.Int("source-parallel", 0,
-			"cap on in-flight queries per source (0 = unlimited)")
-		sourceRate = flag.Float64("source-rate", 0,
-			"per-source query rate limit in queries/second (0 = unlimited)")
 		degradedServe = flag.Bool("degraded-serve", true,
 			"serve best-effort answers (caches, crawl sets, dense regions; marked degraded/stale-ok) instead of failing while a source's breaker is open")
 		dialRetries = flag.Int("dial-retries", 5,
@@ -194,6 +188,10 @@ func main() {
 		// The governed budget works through the pool; honouring one flag
 		// would silently betray the other.
 		log.Fatal("qr2server: -cache-pool=false conflicts with -mem-budget (the governed budget pools the answer caches); drop one")
+	}
+	policy, err := sourcePolicy(*sourceTimeout, *sourceRetries, *breakerThreshold, *breakerOpen, *breakerProbes, *degradedServe)
+	if err != nil {
+		log.Fatalf("qr2server: %v", err)
 	}
 
 	cacheFor := func(name string) *qcache.Config {
@@ -225,18 +223,8 @@ func main() {
 			DegradedFraction: *sloDegradedFraction,
 			ForwardP99:       *sloForwardP99,
 		},
-		Logger: slog.New(slog.NewTextHandler(os.Stderr, nil)),
-		Resilience: resilience.Policy{
-			AttemptTimeout:   *sourceTimeout,
-			MaxAttempts:      *sourceRetries + 1,
-			BreakerThreshold: *breakerThreshold,
-			BreakerOpenFor:   *breakerOpen,
-			BreakerProbes:    *breakerProbes,
-			HedgeAfter:       *hedgeAfter,
-			MaxConcurrent:    *sourceParallel,
-			RatePerSec:       *sourceRate,
-			DegradedServe:    *degradedServe,
-		},
+		Logger:     slog.New(slog.NewTextHandler(os.Stderr, nil)),
+		Resilience: policy,
 	}
 	peerList, err := parseNamedURLs("peers", *peers)
 	if err != nil {
@@ -326,6 +314,25 @@ func main() {
 	}
 	log.Printf("qr2server: listening on %s (default algorithm %s)", *addr, *algo)
 	log.Fatal(httpSrv.ListenAndServe())
+}
+
+// sourcePolicy maps the -source-* and -breaker-* flags onto the
+// resilience policy wrapped around every source. -source-retries counts
+// tries after the first, so a negative value is refused: it would reach
+// the policy as MaxAttempts 0, which the policy reads as its default.
+func sourcePolicy(timeout time.Duration, retries, breakerThreshold int, breakerOpen time.Duration,
+	breakerProbes int, degradedServe bool) (resilience.Policy, error) {
+	if retries < 0 {
+		return resilience.Policy{}, fmt.Errorf("-source-retries %d: want 0 or more", retries)
+	}
+	return resilience.Policy{
+		AttemptTimeout:   timeout,
+		MaxAttempts:      retries + 1,
+		BreakerThreshold: breakerThreshold,
+		BreakerOpenFor:   breakerOpen,
+		BreakerProbes:    breakerProbes,
+		DegradedServe:    degradedServe,
+	}, nil
 }
 
 // namedURL is one name=url entry of -remote or -peers.

@@ -1,9 +1,11 @@
 package main
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestParseSourceAndPeerLists: -sources, -remote and -peers accept the
@@ -57,6 +59,37 @@ func TestParseSourceAndPeerLists(t *testing.T) {
 			}
 			if !reflect.DeepEqual(local, tc.wantLocal) || !reflect.DeepEqual(remote, tc.wantRemote) || !reflect.DeepEqual(peers, tc.wantPeers) {
 				t.Fatalf("got local=%v remote=%v peers=%v", local, remote, peers)
+			}
+		})
+	}
+}
+
+// TestSourcePolicyRetries: -source-retries counts tries after the first,
+// and a negative count is refused at startup rather than reaching the
+// policy as MaxAttempts 0, which the policy reads as its default of 3.
+func TestSourcePolicyRetries(t *testing.T) {
+	for _, tc := range []struct {
+		retries      int
+		wantAttempts int
+		wantErr      bool
+	}{
+		{retries: 0, wantAttempts: 1},
+		{retries: 2, wantAttempts: 3},
+		{retries: -1, wantErr: true},
+	} {
+		t.Run(fmt.Sprintf("retries=%d", tc.retries), func(t *testing.T) {
+			pol, err := sourcePolicy(10*time.Second, tc.retries, 5, 10*time.Second, 1, true)
+			if tc.wantErr {
+				if err == nil || !strings.Contains(err.Error(), "-source-retries") {
+					t.Fatalf("err = %v, want a -source-retries error", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pol.MaxAttempts != tc.wantAttempts {
+				t.Fatalf("MaxAttempts = %d, want %d", pol.MaxAttempts, tc.wantAttempts)
 			}
 		})
 	}

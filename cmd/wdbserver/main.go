@@ -3,30 +3,23 @@
 // search interface of internal/wdbhttp.
 //
 // QR2 (cmd/qr2server) can then be pointed at this server exactly as it
-// would be pointed at a real web database.
-//
-// A server-side answer cache (internal/qcache) can be enabled with
-// -cache-bytes: repeated top-k searches are then answered without paying
-// the simulated latency, and identical concurrent searches are coalesced —
-// the behaviour of a web database with its own result cache.
+// would be pointed at a real web database. The catalog is fully
+// determined by -source, -n and -seed, so servers started with the same
+// three flags serve the same database, and every search pays -latency.
 //
 // Observability mirrors qr2server's: every /search runs under an
-// internal/obs trace (the cache and the simulator record spans on it),
-// -trace-buffer sizes the /api/trace + /debug/requests inspector,
-// -slow-query gates the slow-query log, and -debug-addr serves
-// net/http/pprof on a private side mux, never on the public -addr.
+// internal/obs trace (the search handler and the simulator record spans
+// on it), -trace-buffer sizes the /api/trace + /debug/requests
+// inspector, -slow-query gates the slow-query log, and -debug-addr
+// serves net/http/pprof on a private side mux, never on the public -addr.
 //
 // Usage:
 //
 //	wdbserver -source bluenile -n 20000 -k 50 -addr :8081 -latency 300ms
-//	wdbserver -source zillow -dump /tmp/zillow            # snapshot and exit
-//	wdbserver -source zillow -load /tmp/zillow            # serve the snapshot
-//	wdbserver -cache-bytes 67108864 -cache-ttl 5m -cache /tmp/bn.qcache
 //	wdbserver -fault 'pass:20,stall=2s:10,reset:3,loop'   # rehearse an outage
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -34,17 +27,13 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
-	"path/filepath"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/datagen"
 	"repro/internal/faultinject"
 	"repro/internal/hidden"
-	"repro/internal/kvstore"
 	"repro/internal/obs"
-	"repro/internal/qcache"
-	"repro/internal/relation"
 	"repro/internal/wdbhttp"
 )
 
@@ -56,16 +45,7 @@ func main() {
 		seed    = flag.Int64("seed", 7, "generator seed")
 		systemK = flag.Int("k", 50, "system-k: tuples returned per search")
 		latency = flag.Duration("latency", 0, "artificial per-query latency")
-		dump    = flag.String("dump", "", "write schema.json + data.csv to this directory and exit")
-		load    = flag.String("load", "", "serve a catalog snapshot from this directory instead of generating")
 
-		cacheBytes = flag.Int64("cache-bytes", 0, "server-side answer cache budget in bytes (0 disables)")
-		cacheTTL   = flag.Duration("cache-ttl", 0, "answer cache entry TTL (0 = never expire)")
-		cachePath  = flag.String("cache", "", "file persisting the answer cache across restarts (empty = in-memory)")
-		cacheReuse = flag.Bool("cache-reuse", true,
-			"serve strictly narrower predicates from complete cached answers (overflow-aware reuse)")
-		memBudget = flag.Int64("mem-budget", 0,
-			"process-wide cache byte budget; the answer cache is wdbserver's only governed consumer, so this overrides -cache-bytes when set (qr2server additionally splits it with the dense indexes)")
 		traceBuffer = flag.Int("trace-buffer", 0,
 			"recent search traces kept for /api/trace and /debug/requests (0 = default 256, negative disables tracing)")
 		slowQuery = flag.Duration("slow-query", 0,
@@ -76,70 +56,19 @@ func main() {
 			"fault-injection schedule applied to incoming requests, e.g. 'pass:20,stall=2s:10,status=503:5,reset:3,loop' (see internal/faultinject); empty disables")
 	)
 	flag.Parse()
-	if *memBudget > 0 {
-		*cacheBytes = *memBudget
-	}
 
 	var cat *datagen.Catalog
-	if *load != "" {
-		rel, err := loadSnapshot(*load, *source)
-		if err != nil {
-			log.Fatalf("wdbserver: %v", err)
-		}
-		// A snapshot replays the tuples; the proprietary ranking is
-		// reconstructed from the same generator family (it is a function
-		// of the tuples, not of the generator run).
-		cat = &datagen.Catalog{Rel: rel, Rank: rankFor(*source), Name: *source}
-	} else {
-		switch *source {
-		case "bluenile":
-			cat = datagen.BlueNile(*n, *seed)
-		case "zillow":
-			cat = datagen.Zillow(*n, *seed)
-		default:
-			log.Fatalf("wdbserver: unknown source %q (want bluenile or zillow)", *source)
-		}
+	switch *source {
+	case "bluenile":
+		cat = datagen.BlueNile(*n, *seed)
+	case "zillow":
+		cat = datagen.Zillow(*n, *seed)
+	default:
+		log.Fatalf("wdbserver: unknown source %q (want bluenile or zillow)", *source)
 	}
-	if *dump != "" {
-		if err := dumpSnapshot(*dump, cat.Rel); err != nil {
-			log.Fatalf("wdbserver: %v", err)
-		}
-		log.Printf("wdbserver: snapshot of %s (%d tuples) written to %s", cat.Name, cat.Rel.Len(), *dump)
-		return
-	}
-	local, err := hidden.NewLocal(cat.Name, cat.Rel, *systemK, cat.Rank, hidden.WithLatency(*latency))
+	db, err := hidden.NewLocal(cat.Name, cat.Rel, *systemK, cat.Rank, hidden.WithLatency(*latency))
 	if err != nil {
 		log.Fatalf("wdbserver: %v", err)
-	}
-	var db hidden.DB = local
-	if *cacheBytes == 0 && (*cachePath != "" || *cacheTTL != 0) {
-		log.Fatalf("wdbserver: -cache and -cache-ttl need the cache enabled; set -cache-bytes > 0")
-	}
-	if *cacheBytes != 0 {
-		var store kvstore.Store
-		if *cachePath != "" {
-			s, err := kvstore.Open(*cachePath)
-			if err != nil {
-				log.Fatalf("wdbserver: open answer cache: %v", err)
-			}
-			// Reclaim superseded records from previous runs.
-			if s.DeadBytes() > 0 {
-				if err := s.Compact(); err != nil {
-					log.Fatalf("wdbserver: compact answer cache: %v", err)
-				}
-			}
-			store = s
-		}
-		cached, err := qcache.New(db, qcache.Config{
-			MaxBytes: *cacheBytes, TTL: *cacheTTL, Store: store,
-			DisableContainment: !*cacheReuse,
-		})
-		if err != nil {
-			log.Fatalf("wdbserver: %v", err)
-		}
-		db = cached
-		log.Printf("wdbserver: answer cache enabled (%d bytes, ttl %s, %d warm entries)",
-			*cacheBytes, *cacheTTL, cached.Stats().Warmed)
 	}
 	var root http.Handler = wdbhttp.NewServer(db)
 	if *fault != "" {
@@ -182,8 +111,8 @@ func main() {
 	log.Fatal(srv.ListenAndServe())
 }
 
-// traceSearches runs every /search under an obs trace so the answer
-// cache (when enabled) and the simulator record spans; the request ID is
+// traceSearches runs every /search under an obs trace so the search
+// handler and the simulator record spans; the request ID is
 // taken from the caller's X-QR2-Request header when present, making the
 // server-side trace correlatable with the QR2 replica that issued it.
 func traceSearches(col *obs.Collector, next http.Handler) http.Handler {
@@ -213,60 +142,4 @@ func pprofMux() *http.ServeMux {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
-}
-
-// dumpSnapshot writes schema.json and data.csv into dir.
-func dumpSnapshot(dir string, rel *relation.Relation) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	schemaJSON, err := json.MarshalIndent(rel.Schema(), "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(filepath.Join(dir, "schema.json"), schemaJSON, 0o644); err != nil {
-		return err
-	}
-	f, err := os.Create(filepath.Join(dir, "data.csv"))
-	if err != nil {
-		return err
-	}
-	if err := rel.WriteCSV(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// loadSnapshot reads a catalog written by dumpSnapshot.
-func loadSnapshot(dir, name string) (*relation.Relation, error) {
-	schemaJSON, err := os.ReadFile(filepath.Join(dir, "schema.json"))
-	if err != nil {
-		return nil, err
-	}
-	var schema relation.Schema
-	if err := json.Unmarshal(schemaJSON, &schema); err != nil {
-		return nil, err
-	}
-	f, err := os.Open(filepath.Join(dir, "data.csv"))
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return relation.ReadCSV(f, name, &schema)
-}
-
-// rankFor rebuilds the proprietary ranking for a snapshot of a known
-// source. The generators derive their ranking from tuple values and IDs
-// only (attribute positions are fixed per source), so a snapshot ranks
-// identically to the original run.
-func rankFor(source string) func(relation.Tuple) float64 {
-	switch source {
-	case "bluenile":
-		return datagen.BlueNile(1, 1).Rank
-	case "zillow":
-		return datagen.Zillow(1, 1).Rank
-	default:
-		return func(t relation.Tuple) float64 { return float64(t.ID) }
-	}
 }

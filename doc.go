@@ -107,10 +107,9 @@
 // (-breaker-threshold) opens the source's circuit breaker, which
 // rejects calls instantly for -breaker-open before admitting
 // -breaker-probes half-open probes — one probe success re-closes the
-// circuit, one failure re-opens it. Optionally a duplicate attempt is
-// hedged when the first is slow (-hedge-after), and per-source
-// concurrency and rate caps (-source-parallel, -source-rate) keep the
-// service a polite tenant of the databases it queries.
+// circuit, one failure re-opens it. The layer caps neither concurrency
+// nor rate: the one bound on how many web queries run at once is the
+// engine's per-batch fan-out (core.Options.MaxParallel, default 8).
 //
 // While a breaker is open the service keeps answering (-degraded-serve,
 // default on): short-circuited calls return an empty answer marked
@@ -126,7 +125,7 @@
 // bump the epoch and wipe every cache the moment the source recovered).
 // Recovery is automatic: probe traffic re-closes the breaker, and
 // post-recovery answers are identical to a cold run's. The breaker
-// state machine, every retry/hedge/degraded counter and
+// state machine, every attempt/retry/failure/degraded counter and
 // qr2_degraded_serves_total are exported on /api/stats and /metrics;
 // internal/faultinject provides the stall/reset/status-burst injection
 // harness the chaos tests and experiment S9 drive the whole ladder

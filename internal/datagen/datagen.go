@@ -229,45 +229,6 @@ func Uniform(n, attrs int, seed int64) *Catalog {
 	return &Catalog{Rel: rel, Rank: rank, Name: "uniform"}
 }
 
-// Clustered generates attrs numeric attributes where a fraction of tuples
-// concentrate inside a few tight Gaussian clusters — the dense-region
-// stress case for the BINARY algorithms.
-func Clustered(n, attrs, clusters int, seed int64) *Catalog {
-	specs := make([]relation.Attribute, attrs)
-	for i := range specs {
-		specs[i] = relation.Attribute{
-			Name: "a" + string(rune('0'+i)), Kind: relation.Numeric,
-			Min: 0, Max: 1000, Resolution: 0.01,
-		}
-	}
-	schema := relation.MustSchema(specs...)
-	r := rand.New(rand.NewSource(seed))
-	centers := make([][]float64, clusters)
-	for c := range centers {
-		centers[c] = make([]float64, attrs)
-		for j := range centers[c] {
-			centers[c][j] = 100 + r.Float64()*800
-		}
-	}
-	rel := relation.NewRelation("clustered", schema)
-	for i := 0; i < n; i++ {
-		vals := make([]float64, attrs)
-		if r.Float64() < 0.7 {
-			c := centers[r.Intn(clusters)]
-			for j := range vals {
-				vals[j] = roundTo(clamp(c[j]+r.NormFloat64()*2.0, 0, 1000), 0.01)
-			}
-		} else {
-			for j := range vals {
-				vals[j] = roundTo(r.Float64()*1000, 0.01)
-			}
-		}
-		rel.MustAppend(relation.Tuple{ID: int64(i + 1), Values: vals})
-	}
-	rank := func(t relation.Tuple) float64 { return noise(t.ID) }
-	return &Catalog{Rel: rel, Rank: rank, Name: "clustered"}
-}
-
 // TieHeavy generates a two-attribute catalog where tieFrac of the tuples
 // share the exact value 500 on attribute "tied" — the general-positioning
 // stress case that exercises the crawler.

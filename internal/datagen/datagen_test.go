@@ -160,26 +160,6 @@ func TestUniformCatalog(t *testing.T) {
 	}
 }
 
-func TestClusteredHasDenseRegions(t *testing.T) {
-	c := Clustered(5000, 2, 3, 7)
-	// At least one narrow 2-unit window should hold far more than the
-	// uniform expectation (~10 tuples per 2/1000 of 5000·0.3 background).
-	counts := map[int]int{}
-	c.Rel.Scan(func(tu relation.Tuple) bool {
-		counts[int(tu.Values[0]/2)]++
-		return true
-	})
-	max := 0
-	for _, n := range counts {
-		if n > max {
-			max = n
-		}
-	}
-	if max < 200 {
-		t.Errorf("densest 2-unit bucket holds %d tuples, want clustered mass", max)
-	}
-}
-
 func TestTieHeavyFraction(t *testing.T) {
 	c := TieHeavy(4000, 0.3, 11)
 	ties := 0

@@ -271,7 +271,6 @@ func (tm Timer) record(stage Stage, o Outcome, n int) {
 const RequestHeader = "X-QR2-Request"
 
 type ctxKey struct{}
-type idKey struct{}
 
 // With attaches a trace to a context. Attaching nil is a no-op.
 func With(ctx context.Context, t *Trace) context.Context {
@@ -287,24 +286,13 @@ func FromContext(ctx context.Context) *Trace {
 	return t
 }
 
-// WithRequestID attaches a bare request ID to a context that has no
-// trace — background work (an async peer admission) keeps its origin ID
-// without keeping the origin's span buffer alive.
-func WithRequestID(ctx context.Context, id string) context.Context {
-	if id == "" {
-		return ctx
-	}
-	return context.WithValue(ctx, idKey{}, id)
-}
-
-// RequestID returns the request ID carried by the context's trace or by
-// WithRequestID, or "".
+// RequestID returns the request ID carried by the context's trace, or ""
+// when the context has none.
 func RequestID(ctx context.Context) string {
 	if t := FromContext(ctx); t != nil {
 		return t.id
 	}
-	id, _ := ctx.Value(idKey{}).(string)
-	return id
+	return ""
 }
 
 // Path classifies the decision path a request took, derived from span

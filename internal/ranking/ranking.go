@@ -193,13 +193,3 @@ func (sc *Scorer) Score(t relation.Tuple) float64 {
 	}
 	return s
 }
-
-// ScorePoint evaluates the function at a normalised coordinate vector
-// aligned with Attrs.
-func (sc *Scorer) ScorePoint(x []float64) float64 {
-	var s float64
-	for i := range sc.attrs {
-		s += sc.weights[i] * x[i]
-	}
-	return s
-}

@@ -185,9 +185,6 @@ func TestScorerScore(t *testing.T) {
 	if w := sc.Weights(); w[0] != 1 || w[1] != -0.5 {
 		t.Fatalf("Weights = %v", w)
 	}
-	if got := sc.ScorePoint([]float64{0.5, 0.5}); math.Abs(got-0.25) > 1e-12 {
-		t.Fatalf("ScorePoint = %v", got)
-	}
 }
 
 func TestScorerAttrsSortedRegardlessOfTermOrder(t *testing.T) {

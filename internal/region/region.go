@@ -153,38 +153,6 @@ func (r Rect) SplitAt(dim int, mid float64) (left, right Rect) {
 	return left, right
 }
 
-// WidestDim returns the index (into Attrs) of the dimension with the largest
-// width, optionally scaled by per-dimension reference widths (pass nil for
-// absolute widths). Ties resolve to the smallest index.
-func (r Rect) WidestDim(ref []float64) int {
-	best, bestW := 0, -1.0
-	for i, iv := range r.Ivs {
-		w := iv.Width()
-		if ref != nil && ref[i] > 0 {
-			w /= ref[i]
-		}
-		if w > bestW {
-			best, bestW = i, w
-		}
-	}
-	return best
-}
-
-// MaxWidth returns the largest dimension width, optionally scaled by ref.
-func (r Rect) MaxWidth(ref []float64) float64 {
-	w := 0.0
-	for i, iv := range r.Ivs {
-		d := iv.Width()
-		if ref != nil && ref[i] > 0 {
-			d /= ref[i]
-		}
-		if d > w {
-			w = d
-		}
-	}
-	return w
-}
-
 // LinearMin returns the minimum of Σ w[i]·x[i] over the rectangle, where w
 // is aligned with Attrs. For w[i] > 0 the minimum is at the low edge, for
 // w[i] < 0 at the high edge. Open/closed flags are ignored: the bound is an

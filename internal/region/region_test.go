@@ -154,23 +154,6 @@ func TestSplitPartitionsTuples(t *testing.T) {
 	}
 }
 
-func TestWidestDimAndMaxWidth(t *testing.T) {
-	r := rect2(t) // widths 10 and 100
-	if d := r.WidestDim(nil); d != 1 {
-		t.Fatalf("WidestDim = %d, want 1", d)
-	}
-	// Scaled by reference widths 10 and 1000, dim 0 is relatively widest.
-	if d := r.WidestDim([]float64{10, 1000}); d != 0 {
-		t.Fatalf("scaled WidestDim = %d, want 0", d)
-	}
-	if w := r.MaxWidth(nil); w != 100 {
-		t.Fatalf("MaxWidth = %v, want 100", w)
-	}
-	if w := r.MaxWidth([]float64{10, 1000}); w != 1 {
-		t.Fatalf("scaled MaxWidth = %v, want 1", w)
-	}
-}
-
 func TestLinearMinMax(t *testing.T) {
 	r := rect2(t)
 	w := []float64{2, -1}

@@ -159,17 +159,6 @@ func (s *Schema) Names() []string {
 	return names
 }
 
-// NumericIndexes returns the positions of all numeric attributes.
-func (s *Schema) NumericIndexes() []int {
-	var out []int
-	for i, a := range s.attrs {
-		if a.Kind == Numeric {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // Tuple is a single database row. Values are aligned with the schema; a
 // categorical value stores the category index as a float64.
 type Tuple struct {

@@ -59,10 +59,6 @@ func TestSchemaLookup(t *testing.T) {
 	if len(names) != 3 || names[0] != "price" || names[2] != "cut" {
 		t.Fatalf("Names = %v", names)
 	}
-	num := s.NumericIndexes()
-	if len(num) != 2 || num[0] != 0 || num[1] != 1 {
-		t.Fatalf("NumericIndexes = %v", num)
-	}
 }
 
 func TestAttributeCategories(t *testing.T) {

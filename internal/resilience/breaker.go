@@ -101,8 +101,8 @@ func (b *breaker) success() {
 		b.probing = 0
 		b.closes++
 	}
-	// A success landing while Open (a call admitted before the trip, or
-	// a late hedge) is ignored: the open window expires on its own.
+	// A success landing while Open (a call admitted before the trip) is
+	// ignored: the open window expires on its own.
 }
 
 // failure reports an indictable failure (transport-level, 5xx/429, or
@@ -126,7 +126,7 @@ func (b *breaker) failure() {
 }
 
 // release returns an admitted half-open probe slot without a verdict —
-// the call bailed out (context cancelled, rate-limit wait aborted)
+// the call bailed out (context cancelled mid-attempt or during backoff)
 // before producing evidence either way.
 func (b *breaker) release() {
 	b.mu.Lock()

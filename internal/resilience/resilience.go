@@ -5,11 +5,11 @@
 // (Gunasekaran et al., ICDE 2018): sources hang, rate-limit, return 5xx
 // and disappear mid-crawl. The wrapper produced by Source.Wrap gives
 // each call a per-attempt deadline, retries transport-level and
-// 5xx/429 failures with capped exponential backoff and jitter, guards
-// the source with a three-state circuit breaker (closed → open →
-// half-open with bounded probe admission), bounds concurrency with a
-// semaphore and request rate with a token bucket, and optionally hedges
-// slow attempts for tail latency.
+// 5xx/429 failures with capped exponential backoff and jitter, and
+// guards the source with a three-state circuit breaker (closed → open →
+// half-open with bounded probe admission). It does not cap concurrency
+// or rate: the one bound on web-query fan-out is the engine's per-batch
+// cap, core.Options.MaxParallel.
 //
 // Retries are safe here because the hidden-database interface is a pure
 // top-k search: every call is idempotent by construction. Only failures
@@ -36,7 +36,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -74,16 +73,6 @@ type Policy struct {
 	// BreakerProbes is the number of concurrent half-open probe calls.
 	// Default 1.
 	BreakerProbes int
-	// MaxConcurrent caps in-flight calls to the source (0 = unlimited).
-	MaxConcurrent int
-	// RatePerSec refills the per-source token bucket (0 = unlimited).
-	RatePerSec float64
-	// Burst is the token-bucket capacity. Default: RatePerSec rounded
-	// up, at least 1.
-	Burst int
-	// HedgeAfter launches one duplicate attempt when the first has not
-	// answered within this duration; the first answer wins. 0 disables.
-	HedgeAfter time.Duration
 	// DegradedServe answers with an empty Degraded-marked result instead
 	// of an error when the breaker is open or retries are exhausted.
 	DegradedServe bool
@@ -118,37 +107,25 @@ func (p Policy) withDefaults() Policy {
 	if p.BreakerProbes < 1 {
 		p.BreakerProbes = 1
 	}
-	if p.Burst < 1 {
-		p.Burst = int(p.RatePerSec + 0.999)
-		if p.Burst < 1 {
-			p.Burst = 1
-		}
-	}
 	if p.Seed == 0 {
 		p.Seed = 0x9e3779b97f4a7c15
 	}
 	return p
 }
 
-// Source is the shared runtime state of one source's policy: breaker,
-// limiter, semaphore and counters. One Source may back several wrapped
-// databases (the raw leaf and, through it, the prober) so they indict
-// and recover together.
+// Source is the shared runtime state of one source's policy: breaker
+// and counters. One Source may back several wrapped databases (the raw
+// leaf and, through it, the prober) so they indict and recover together.
 type Source struct {
 	pol Policy
 	br  *breaker // nil when the breaker is disabled
-	sem chan struct{}
-	tb  *bucket
 	rng atomic.Uint64
 
 	attempts       atomic.Int64
 	retries        atomic.Int64
 	failures       atomic.Int64
-	hedges         atomic.Int64
-	hedgeWins      atomic.Int64
 	shortCircuits  atomic.Int64
 	degradedServes atomic.Int64
-	rateWaits      atomic.Int64
 }
 
 // NewSource builds the runtime for one source from a policy.
@@ -157,12 +134,6 @@ func NewSource(pol Policy) *Source {
 	s := &Source{pol: pol}
 	if pol.BreakerThreshold > 0 {
 		s.br = newBreaker(pol.BreakerThreshold, pol.BreakerOpenFor, pol.BreakerProbes)
-	}
-	if pol.MaxConcurrent > 0 {
-		s.sem = make(chan struct{}, pol.MaxConcurrent)
-	}
-	if pol.RatePerSec > 0 {
-		s.tb = newBucket(pol.RatePerSec, float64(pol.Burst))
 	}
 	s.rng.Store(pol.Seed)
 	return s
@@ -185,11 +156,8 @@ type Stats struct {
 	Attempts       int64  `json:"attempts"`
 	Retries        int64  `json:"retries"`
 	Failures       int64  `json:"failures"`
-	Hedges         int64  `json:"hedges"`
-	HedgeWins      int64  `json:"hedge_wins"`
 	ShortCircuits  int64  `json:"short_circuits"`
 	DegradedServes int64  `json:"degraded_serves"`
-	RateWaits      int64  `json:"rate_waits"`
 	Opens          int64  `json:"breaker_opens"`
 	HalfOpens      int64  `json:"breaker_half_opens"`
 	Closes         int64  `json:"breaker_closes"`
@@ -202,11 +170,8 @@ func (s *Source) Stats() Stats {
 		Attempts:       s.attempts.Load(),
 		Retries:        s.retries.Load(),
 		Failures:       s.failures.Load(),
-		Hedges:         s.hedges.Load(),
-		HedgeWins:      s.hedgeWins.Load(),
 		ShortCircuits:  s.shortCircuits.Load(),
 		DegradedServes: s.degradedServes.Load(),
-		RateWaits:      s.rateWaits.Load(),
 	}
 	if s.br != nil {
 		state, opens, halfOpens, closes := s.br.snapshot()
@@ -252,14 +217,6 @@ func (d *DB) SystemK() int { return d.inner.SystemK() }
 // them, degrading to a fabricated empty answer when the policy allows.
 func (d *DB) Search(ctx context.Context, p relation.Predicate) (hidden.Result, error) {
 	s := d.s
-	if s.sem != nil {
-		select {
-		case s.sem <- struct{}{}:
-			defer func() { <-s.sem }()
-		case <-ctx.Done():
-			return hidden.Result{}, ctx.Err()
-		}
-	}
 	if s.br != nil && !s.br.allow() {
 		s.shortCircuits.Add(1)
 		return s.degrade(ctx, fmt.Errorf("resilience: %s: %w", d.inner.Name(), ErrOpen))
@@ -272,12 +229,6 @@ func (d *DB) Search(ctx context.Context, p relation.Predicate) (hidden.Result, e
 		if attempt > 0 {
 			s.retries.Add(1)
 			if err := sleep(ctx, s.jitter(s.backoff(attempt))); err != nil {
-				s.release()
-				return hidden.Result{}, err
-			}
-		}
-		if s.tb != nil {
-			if err := s.tb.wait(ctx, &s.rateWaits); err != nil {
 				s.release()
 				return hidden.Result{}, err
 			}
@@ -324,12 +275,8 @@ func (s *Source) release() {
 	}
 }
 
-// attempt runs one try under the per-attempt deadline, hedging a
-// duplicate when the policy asks for it.
+// attempt runs one try under the per-attempt deadline.
 func (d *DB) attempt(ctx context.Context, p relation.Predicate) (hidden.Result, error) {
-	if d.s.pol.HedgeAfter > 0 {
-		return d.hedgedAttempt(ctx, p)
-	}
 	if d.s.pol.AttemptTimeout > 0 {
 		actx, release := newAttemptCtx(ctx, d.s.pol.AttemptTimeout)
 		res, err := d.inner.Search(actx, p)
@@ -337,65 +284,6 @@ func (d *DB) attempt(ctx context.Context, p relation.Predicate) (hidden.Result, 
 		return res, err
 	}
 	return d.inner.Search(ctx, p)
-}
-
-// hedgedAttempt races the attempt against one duplicate launched after
-// HedgeAfter; the first answer wins.
-func (d *DB) hedgedAttempt(ctx context.Context, p relation.Predicate) (hidden.Result, error) {
-	run := func() (hidden.Result, error) {
-		actx := ctx
-		if d.s.pol.AttemptTimeout > 0 {
-			var release func()
-			actx, release = newAttemptCtx(ctx, d.s.pol.AttemptTimeout)
-			defer release()
-		}
-		return d.inner.Search(actx, p)
-	}
-	type answer struct {
-		res   hidden.Result
-		err   error
-		hedge bool
-	}
-	ch := make(chan answer, 2)
-	launch := func(hedge bool) {
-		go func() {
-			res, err := run()
-			ch <- answer{res, err, hedge}
-		}()
-	}
-	launch(false)
-	timer := time.NewTimer(d.s.pol.HedgeAfter)
-	defer timer.Stop()
-	outstanding, hedged := 1, false
-	var firstErr error
-	for {
-		select {
-		case <-ctx.Done():
-			return hidden.Result{}, ctx.Err()
-		case <-timer.C:
-			if !hedged {
-				hedged = true
-				d.s.hedges.Add(1)
-				launch(true)
-				outstanding++
-			}
-		case a := <-ch:
-			outstanding--
-			if a.err == nil {
-				if a.hedge {
-					d.s.hedgeWins.Add(1)
-				}
-				return a.res, nil
-			}
-			if firstErr == nil {
-				firstErr = a.err
-			}
-			if outstanding == 0 {
-				return hidden.Result{}, firstErr
-			}
-			// The other hedged attempt is still in flight; wait for it.
-		}
-	}
 }
 
 // degrade fabricates the empty stale-ok answer when the policy allows,
@@ -456,47 +344,6 @@ func sleep(ctx context.Context, d time.Duration) error {
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
-	}
-}
-
-// bucket is a token-bucket rate limiter: rate tokens/second up to
-// burst, one token per attempt, callers sleep for the shortfall.
-type bucket struct {
-	mu     sync.Mutex
-	tokens float64
-	last   time.Time
-	rate   float64
-	burst  float64
-}
-
-func newBucket(rate, burst float64) *bucket {
-	return &bucket{tokens: burst, last: time.Now(), rate: rate, burst: burst}
-}
-
-func (b *bucket) wait(ctx context.Context, waits *atomic.Int64) error {
-	waited := false
-	for {
-		b.mu.Lock()
-		now := time.Now()
-		b.tokens += now.Sub(b.last).Seconds() * b.rate
-		if b.tokens > b.burst {
-			b.tokens = b.burst
-		}
-		b.last = now
-		if b.tokens >= 1 {
-			b.tokens--
-			b.mu.Unlock()
-			return nil
-		}
-		need := time.Duration((1 - b.tokens) / b.rate * float64(time.Second))
-		b.mu.Unlock()
-		if !waited {
-			waited = true
-			waits.Add(1)
-		}
-		if err := sleep(ctx, need); err != nil {
-			return err
-		}
 	}
 }
 

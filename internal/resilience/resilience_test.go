@@ -269,90 +269,49 @@ func (s slowDB) Search(ctx context.Context, p relation.Predicate) (hidden.Result
 	}
 }
 
-func TestHedgeWinsOnSlowFirstAttempt(t *testing.T) {
-	var calls atomic.Int64
-	hedgy := hedgeDB{calls: &calls}
-	pol := fastPolicy()
-	pol.HedgeAfter = 2 * time.Millisecond
-	src := NewSource(pol)
-	res, err := src.Wrap(hedgy).Search(context.Background(), relation.Predicate{})
-	if err != nil {
-		t.Fatalf("Search: %v", err)
-	}
-	if !res.Overflow {
-		t.Fatalf("want the hedged (fast) answer, got %+v", res)
-	}
-	st := src.Stats()
-	if st.Hedges != 1 || st.HedgeWins != 1 {
-		t.Fatalf("stats %+v, want 1 hedge / 1 hedge win", st)
-	}
-}
-
-// hedgeDB stalls the first call long enough for the hedge to win.
-type hedgeDB struct{ calls *atomic.Int64 }
-
-func (h hedgeDB) Name() string             { return "hedgy" }
-func (h hedgeDB) Schema() *relation.Schema { return nil }
-func (h hedgeDB) SystemK() int             { return 5 }
-func (h hedgeDB) Search(ctx context.Context, p relation.Predicate) (hidden.Result, error) {
-	if h.calls.Add(1) == 1 {
-		select {
-		case <-time.After(500 * time.Millisecond):
-			return hidden.Result{}, nil
-		case <-ctx.Done():
-			return hidden.Result{}, ctx.Err()
-		}
-	}
-	return hidden.Result{Overflow: true}, nil
-}
-
-func TestRateLimiterWaits(t *testing.T) {
+// TestCallerCancelMidAttempt: cancelling the caller's context while an
+// attempt is blocked inside the source ends the attempt through the
+// attempt context's parent watcher. The caller gets its own error back,
+// the source is not indicted, and the next call runs on a fresh attempt
+// context rather than the one that fired.
+func TestCallerCancelMidAttempt(t *testing.T) {
 	db := &fakeDB{name: "src", fn: func(n int) (hidden.Result, error) {
-		return hidden.Result{}, nil
+		return hidden.Result{Overflow: true}, nil
 	}}
-	pol := fastPolicy()
-	pol.RatePerSec = 200
-	pol.Burst = 1
-	src := NewSource(pol)
-	wrapped := src.Wrap(db)
-	ctx := context.Background()
-	start := time.Now()
-	for i := 0; i < 3; i++ {
-		if _, err := wrapped.Search(ctx, relation.Predicate{}); err != nil {
-			t.Fatalf("Search: %v", err)
-		}
-	}
-	if elapsed := time.Since(start); elapsed < 8*time.Millisecond {
-		t.Fatalf("3 calls at 200/s with burst 1 took %v, want >= ~10ms", elapsed)
-	}
-	if src.Stats().RateWaits < 2 {
-		t.Fatalf("rate waits = %d, want >= 2", src.Stats().RateWaits)
-	}
-}
-
-func TestConcurrencyCapHonoursContext(t *testing.T) {
-	release := make(chan struct{})
 	started := make(chan struct{}, 1)
-	db := &fakeDB{name: "src"}
-	blocked := blockingDB{release: release, started: started, inner: db}
-	pol := fastPolicy()
-	pol.MaxConcurrent = 1
-	src := NewSource(pol)
-	wrapped := src.Wrap(blocked)
-	go wrapped.Search(context.Background(), relation.Predicate{})
-	<-started // the first call holds the only semaphore slot
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
-	defer cancel()
-	if _, err := wrapped.Search(ctx, relation.Predicate{}); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want deadline exceeded while waiting on the semaphore", err)
+	sawDone := make(chan error, 1)
+	src := NewSource(fastPolicy())
+	blocked := src.Wrap(blockingDB{release: make(chan struct{}), started: started, sawDone: sawDone, inner: db})
+	ctx, cancel := context.WithCancel(context.Background())
+	errc := make(chan error, 1)
+	go func() {
+		_, err := blocked.Search(ctx, relation.Predicate{})
+		errc <- err
+	}()
+	<-started
+	cancel()
+	if err := <-sawDone; !errors.Is(err, context.Canceled) {
+		t.Fatalf("inner search saw %v, want context.Canceled", err)
 	}
-	close(release)
+	if err := <-errc; !errors.Is(err, context.Canceled) {
+		t.Fatalf("Search err = %v, want context.Canceled", err)
+	}
+	if st := src.Stats(); st.Failures != 0 || st.State != Closed.String() {
+		t.Fatalf("stats %+v, want 0 failures and a closed breaker", st)
+	}
+	// fakeDB fails with ctx.Err() when handed an already-done context.
+	res, err := src.Wrap(db).Search(context.Background(), relation.Predicate{})
+	if err != nil || !res.Overflow {
+		t.Fatalf("next call: res=%+v err=%v, want a clean answer", res, err)
+	}
 }
 
-// blockingDB signals when a search starts and blocks until released.
+// blockingDB signals when a search starts and blocks until released or
+// until its context is done, reporting the context's error on sawDone.
 type blockingDB struct {
 	release chan struct{}
 	started chan struct{}
+	sawDone chan error
 	inner   hidden.DB
 }
 
@@ -368,6 +327,7 @@ func (b blockingDB) Search(ctx context.Context, p relation.Predicate) (hidden.Re
 	case <-b.release:
 		return hidden.Result{}, nil
 	case <-ctx.Done():
+		b.sawDone <- ctx.Err()
 		return hidden.Result{}, ctx.Err()
 	}
 }

@@ -209,14 +209,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			resRow(func(rs resilience.Stats) int64 { return rs.Retries })},
 		{"qr2_source_failures_total", "counter", "Indictable (transport-level) attempt failures.",
 			resRow(func(rs resilience.Stats) int64 { return rs.Failures })},
-		{"qr2_source_hedges_total", "counter", "Duplicate attempts launched because the first exceeded the hedge delay.",
-			resRow(func(rs resilience.Stats) int64 { return rs.Hedges })},
 		{"qr2_source_short_circuits_total", "counter", "Calls rejected without an attempt because the breaker was open.",
 			resRow(func(rs resilience.Stats) int64 { return rs.ShortCircuits })},
 		{"qr2_degraded_serves_total", "counter", "Answers fabricated (empty, Degraded-marked) while the source was unreachable.",
 			resRow(func(rs resilience.Stats) int64 { return rs.DegradedServes })},
-		{"qr2_source_rate_limited_total", "counter", "Attempts that waited on the per-source token bucket.",
-			resRow(func(rs resilience.Stats) int64 { return rs.RateWaits })},
 		{"qr2_qcache_epoch_wipes_total", "counter", "Runtime epoch bumps that wiped the source's answer-cache namespace in full.",
 			cacheRow(func(cs qcache.Stats) int64 { return cs.EpochWipes })},
 		{"qr2_qcache_partial_wipes_total", "counter", "Region-scoped epoch bumps that wiped only the intersecting slice of the namespace.",

@@ -201,11 +201,10 @@ type Config struct {
 	SLO obs.SLOObjectives
 	// Resilience is the per-source fault policy wrapped around every raw
 	// web-database call (internal/resilience): per-attempt deadlines,
-	// capped-backoff retries of transport-level failures, a circuit
-	// breaker, optional concurrency/rate caps and hedging. The zero value
-	// applies the library defaults — harmless for healthy sources; set
-	// negative fields to disable individual knobs. With
-	// Resilience.DegradedServe set, a request that would otherwise fail
+	// capped-backoff retries of transport-level failures and a circuit
+	// breaker. The zero value applies the library defaults — harmless for
+	// healthy sources; set negative fields to disable individual knobs.
+	// With Resilience.DegradedServe set, a request that would otherwise fail
 	// on an open breaker is answered from whatever the cache, crawl-set
 	// and dense layers still hold, marked degraded/stale-ok, instead of
 	// erroring. The wrapper sits below the answer cache and the replica

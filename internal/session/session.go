@@ -120,13 +120,6 @@ func (s *Session) SetCursor(key string, v any) {
 	s.cursors[key] = v
 }
 
-// DropCursor removes the cursor under key.
-func (s *Session) DropCursor(key string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.cursors, key)
-}
-
 // Manager tracks sessions with TTL-based expiry. The zero value is not
 // usable; call NewManager.
 type Manager struct {

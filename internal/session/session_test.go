@@ -145,10 +145,6 @@ func TestCursors(t *testing.T) {
 	if !ok || v.(int) != 42 {
 		t.Fatalf("Cursor = %v, %v", v, ok)
 	}
-	s.DropCursor("q1")
-	if _, ok := s.Cursor("q1"); ok {
-		t.Fatal("dropped cursor still present")
-	}
 }
 
 func TestConcurrentAccess(t *testing.T) {
