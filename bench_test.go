@@ -116,19 +116,57 @@ func BenchmarkSweepGetNext(b *testing.B) { benchExperiment(b, "A6", 3, "wdbqueri
 
 // --- substrate micro-benchmarks ---
 
-// BenchmarkHiddenSearch measures one top-k query against the simulator.
+// BenchmarkHiddenSearch measures one top-k query against the simulator, on
+// the query shapes the rerank engine sends: a selective 2D leaf that
+// underflows, a broad range that overflows, an unfiltered query, and a
+// categorical filter that underflows. Each shape's overflow flag is checked,
+// so a catalog change cannot silently turn one into another.
 func BenchmarkHiddenSearch(b *testing.B) {
 	cat := datagen.BlueNile(20000, 1)
 	db, err := hidden.NewLocal(cat.Name, cat.Rel, 50, cat.Rank)
 	if err != nil {
 		b.Fatal(err)
 	}
-	idx, _ := cat.Rel.Schema().Lookup("price")
-	pred := relation.Predicate{}.WithInterval(idx, relation.Closed(1000, 5000))
-	ctx := context.Background()
-	b.ResetTimer()
+	s := cat.Rel.Schema()
+	price, _ := s.Lookup("price")
+	carat, _ := s.Lookup("carat")
+	shape, _ := s.Lookup("shape")
+	clarity, _ := s.Lookup("clarity")
+	for _, bc := range []struct {
+		name     string
+		pred     relation.Predicate
+		overflow bool
+	}{
+		{"leaf2d", relation.Predicate{}.
+			WithInterval(price, relation.Closed(1000, 1200)).
+			WithInterval(carat, relation.OpenLo(0.7, 0.8)), false},
+		{"broad", relation.Predicate{}.WithInterval(price, relation.Closed(1000, 5000)), true},
+		{"unfiltered", relation.Predicate{}, true},
+		{"categorical", relation.Predicate{}.
+			WithCategories(shape, []int{3}).
+			WithCategories(clarity, []int{0, 1}), false},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			ctx := context.Background()
+			for i := 0; i < b.N; i++ {
+				res, err := db.Search(ctx, bc.pred)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.Overflow != bc.overflow {
+					b.Fatalf("overflow = %v, want %v", res.Overflow, bc.overflow)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkNewLocal measures building the simulator over a 20 000-tuple
+// catalog: the system-rank order and the per-attribute value index.
+func BenchmarkNewLocal(b *testing.B) {
+	cat := datagen.BlueNile(20000, 1)
 	for i := 0; i < b.N; i++ {
-		if _, err := db.Search(ctx, pred); err != nil {
+		if _, err := hidden.NewLocal(cat.Name, cat.Rel, 50, cat.Rank); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -6,6 +6,10 @@
 // would be pointed at a real web database. The catalog is fully
 // determined by -source, -n and -seed, so servers started with the same
 // three flags serve the same database, and every search pays -latency.
+// Beyond -latency a search costs little CPU: the simulator (internal/hidden)
+// builds a value index per attribute at start-up, answers a selective
+// search from it, and scans in system-rank order only for a broad one,
+// stopping at system-k matches plus one; both paths return the same tuples.
 //
 // Observability mirrors qr2server's: every /search runs under an
 // internal/obs trace (the search handler and the simulator record spans

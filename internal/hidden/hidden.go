@@ -11,11 +11,20 @@
 // The reranking algorithms in internal/core are written against the DB
 // interface and therefore work identically over the in-process simulator
 // (Local), the HTTP facade in internal/wdbhttp, or any other implementation.
+//
+// Local answers a selective search from per-attribute value indexes, which
+// keeps the simulator's own CPU small beside the latency a real web query
+// costs, and any other search by an early-stopping scan in system-rank
+// order. Both paths give exactly the answer of a full scan in rank order, so
+// no query count depends on which one ran.
 package hidden
 
 import (
 	"context"
 	"fmt"
+	"math"
+	"math/bits"
+	"sort"
 	"sync/atomic"
 	"time"
 
@@ -60,19 +69,31 @@ type Counter interface {
 
 // Local is an in-process hidden database over an in-memory relation.
 //
-// Internally it holds the tuples pre-sorted by the proprietary system
-// ranking, so a search is a scan in rank order that stops as soon as
-// system-k matches plus one witness for the overflow flag are found. That
-// implementation detail is invisible through the interface, exactly as a
-// real web database's internals are.
+// It holds the tuples pre-sorted by the proprietary system ranking, and for
+// every attribute the rank positions sorted by that attribute's value, both
+// built once in NewLocal. A search picks the condition with the fewest
+// candidate tuples (two binary searches per interval or category), marks
+// those candidates' rank positions and checks the full predicate on them in
+// rank order, stopping at system-k matches plus one witness for the overflow
+// flag. When no condition narrows the search to at most 1/indexCutoff of the
+// tuples, it scans every tuple in rank order with the same early stop. Both
+// paths visit matching tuples in rank order, so they return the same tuples
+// in the same order with the same Overflow. None of this is visible through
+// the interface, exactly as a real web database's internals are not.
 type Local struct {
 	name    string
 	rel     *relation.Relation
 	k       int
-	order   []int // tuple positions in ascending system-score order
+	order   []int     // tuple positions in ascending system-score order
+	byValue [][]int32 // per attribute: rank positions (into order) by ascending value
 	latency time.Duration
 	queries atomic.Int64
 }
+
+// indexCutoff sets when a condition is selective: at most n/indexCutoff of
+// the n tuples satisfy it. Past that, marking the candidates costs about as
+// much as the rank-order scan, which stops after system-k+1 matches, does.
+const indexCutoff = 4
 
 // Option configures a Local database.
 type Option func(*Local)
@@ -94,16 +115,37 @@ func NewLocal(name string, rel *relation.Relation, systemK int, rank func(relati
 	if rank == nil {
 		return nil, fmt.Errorf("hidden: nil system ranking function")
 	}
+	order := rel.SortedBy(rank)
 	l := &Local{
-		name:  name,
-		rel:   rel,
-		k:     systemK,
-		order: rel.SortedBy(rank),
+		name:    name,
+		rel:     rel,
+		k:       systemK,
+		order:   order,
+		byValue: valueIndex(rel, order),
 	}
 	for _, o := range opts {
 		o(l)
 	}
 	return l, nil
+}
+
+// valueIndex returns, for every attribute, the rank positions of the tuples
+// in ascending order of the attribute's value.
+func valueIndex(rel *relation.Relation, order []int) [][]int32 {
+	vals := make([][]float64, rel.Schema().Len())
+	for a := range vals {
+		vals[a] = make([]float64, len(order))
+	}
+	for r, pos := range order {
+		for a, v := range rel.Tuple(pos).Values {
+			vals[a][r] = v
+		}
+	}
+	idx := make([][]int32, len(vals))
+	for a, v := range vals {
+		idx[a] = relation.Order(v, nil)
+	}
+	return idx
 }
 
 // Name implements DB.
@@ -137,23 +179,101 @@ func (l *Local) Search(ctx context.Context, p relation.Predicate) (res Result, e
 	if p.Unsatisfiable() {
 		return Result{}, nil
 	}
-	for i, pos := range l.order {
-		if i%4096 == 0 {
+	if marked, ok := l.candidates(p); ok {
+		for w, word := range marked {
+			for ; word != 0; word &= word - 1 {
+				if l.offer(&res, p, w<<6|bits.TrailingZeros64(word)) {
+					return res, nil
+				}
+			}
+		}
+		return res, nil
+	}
+	for r := range l.order {
+		if r%4096 == 0 {
 			if err := ctx.Err(); err != nil {
 				return Result{}, err
 			}
 		}
-		t := l.rel.Tuple(pos)
-		if !p.Match(t) {
-			continue
-		}
-		if len(res.Tuples) == l.k {
-			res.Overflow = true
+		if l.offer(&res, p, r) {
 			break
 		}
-		res.Tuples = append(res.Tuples, t)
 	}
 	return res, nil
+}
+
+// offer appends the tuple at rank position r to res if it matches p, and
+// reports whether the search is complete: res holds system-k tuples and
+// this one witnesses the overflow.
+func (l *Local) offer(res *Result, p relation.Predicate, r int) bool {
+	t := l.rel.Tuple(l.order[r])
+	if !p.Match(t) {
+		return false
+	}
+	if len(res.Tuples) == l.k {
+		res.Overflow = true
+		return true
+	}
+	res.Tuples = append(res.Tuples, t)
+	return false
+}
+
+// candidates returns a bitmap over rank positions marking every tuple that
+// satisfies the most selective condition of p, or ok=false when no condition
+// is satisfied by at most n/indexCutoff tuples.
+func (l *Local) candidates(p relation.Predicate) (marked []uint64, ok bool) {
+	var best [][]int32
+	bestN := len(l.order)/indexCutoff + 1
+	for _, c := range p.Conditions() {
+		if runs, n := l.runs(c); n < bestN {
+			best, bestN, ok = runs, n, true
+		}
+	}
+	if !ok {
+		return nil, false
+	}
+	marked = make([]uint64, (len(l.order)+63)/64)
+	for _, run := range best {
+		for _, r := range run {
+			marked[r>>6] |= 1 << (r & 63)
+		}
+	}
+	return marked, true
+}
+
+// runs returns the runs of the value index holding exactly the tuples that
+// satisfy c, and their total length. A condition the index cannot answer
+// exactly gets a length past every cut-off.
+func (l *Local) runs(c relation.Condition) ([][]int32, int) {
+	ranks := l.byValue[c.Attr]
+	// search returns the first index whose value satisfies f; f must be
+	// false then true along ascending values, as the interval tests are.
+	search := func(f func(v float64) bool) int {
+		return sort.Search(len(ranks), func(i int) bool {
+			return f(l.rel.Tuple(l.order[ranks[i]]).Values[c.Attr])
+		})
+	}
+	if c.Cats == nil {
+		iv := c.Iv
+		lo := search(func(v float64) bool { return !(v < iv.Lo || v == iv.Lo && iv.LoOpen) })
+		hi := search(func(v float64) bool { return v > iv.Hi || v == iv.Hi && iv.HiOpen })
+		return [][]int32{ranks[lo:hi]}, hi - lo
+	}
+	// A categorical condition matches int(v), which is v itself only on a
+	// categorical attribute, whose values are validated category codes.
+	if l.rel.Schema().Attr(c.Attr).Kind != relation.Categorical {
+		return nil, math.MaxInt
+	}
+	runs := make([][]int32, 0, len(c.Cats))
+	n := 0
+	for _, code := range c.Cats {
+		v := float64(code)
+		lo := search(func(x float64) bool { return x >= v })
+		hi := search(func(x float64) bool { return x > v })
+		runs = append(runs, ranks[lo:hi])
+		n += hi - lo
+	}
+	return runs, n
 }
 
 // QueryCount implements Counter.

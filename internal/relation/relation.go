@@ -9,9 +9,10 @@
 package relation
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Kind distinguishes numeric attributes (ordered, rankable, range-filterable)
@@ -251,22 +252,99 @@ func (r *Relation) Select(p Predicate) []Tuple {
 }
 
 // SortedBy returns the tuple positions ordered by ascending score with ties
-// broken by tuple ID. It does not modify the relation.
+// broken by tuple ID. It does not modify the relation. Each score is computed
+// once; position is the last key, so the order is the one a stable sort gives
+// even when IDs repeat.
 func (r *Relation) SortedBy(score func(Tuple) float64) []int {
-	order := make([]int, len(r.tuples))
 	keys := make([]float64, len(r.tuples))
-	for i := range r.tuples {
-		order[i] = i
-		keys[i] = score(r.tuples[i])
+	for i, t := range r.tuples {
+		keys[i] = score(t)
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		ka, kb := keys[order[a]], keys[order[b]]
-		if ka != kb {
-			return ka < kb
-		}
-		return r.tuples[order[a]].ID < r.tuples[order[b]].ID
-	})
+	idx := Order(keys, func(i, j int32) int { return cmp.Compare(r.tuples[i].ID, r.tuples[j].ID) })
+	order := make([]int, len(idx))
+	for i, pos := range idx {
+		order[i] = int(pos)
+	}
 	return order
+}
+
+// Order returns the indexes of keys sorted by ascending key (-0 equal to +0),
+// equal keys ordered by tie when it is non-nil and then by index. It
+// radix-sorts the top 33 bits of order-preserving keys, least significant
+// digit first and skipping any digit all keys share, then sorts each run of
+// equal prefixes that holds different keys (less than about one part in a
+// million apart) or, given a tie, more than one key. The passes are linear in
+// len(keys); the runs are short unless many keys tie.
+func Order(keys []float64, tie func(i, j int32) int) []int32 {
+	const (
+		digitBits = 11
+		digits    = 3
+		mask      = 1<<digitBits - 1
+		low       = 64 - digits*digitBits // bits below the radix-sorted prefix
+	)
+	n := len(keys)
+	bits, bitsTmp := make([]uint64, n), make([]uint64, n)
+	idx, idxTmp := make([]int32, n), make([]int32, n)
+	var count [digits][mask + 1]int32
+	for i, v := range keys {
+		b := sortBits(v)
+		bits[i], idx[i] = b, int32(i)
+		count[0][b>>low&mask]++
+		count[1][b>>(low+digitBits)&mask]++
+		count[2][b>>(low+2*digitBits)&mask]++
+	}
+	for d := range digits {
+		shift, c := low+d*digitBits, &count[d]
+		if n == 0 || int(c[bits[0]>>shift&mask]) == n {
+			continue
+		}
+		var sum int32
+		for v, m := range c {
+			c[v], sum = sum, sum+m
+		}
+		for i, b := range bits {
+			v := b >> shift & mask
+			bitsTmp[c[v]], idxTmp[c[v]] = b, idx[i]
+			c[v]++
+		}
+		bits, bitsTmp, idx, idxTmp = bitsTmp, bits, idxTmp, idx
+	}
+	full := func(i, j int32) int {
+		if c := cmp.Compare(sortBits(keys[i]), sortBits(keys[j])); c != 0 {
+			return c
+		}
+		if tie != nil {
+			if c := tie(i, j); c != 0 {
+				return c
+			}
+		}
+		return cmp.Compare(i, j)
+	}
+	// Finish each run of keys sharing the radix-sorted prefix. The stable
+	// passes left equal keys in index order, which is final without a tie.
+	for i := 0; i < n; {
+		j, sorted := i+1, true
+		for ; j < n && bits[j]>>low == bits[i]>>low; j++ {
+			sorted = sorted && tie == nil && bits[j] == bits[i]
+		}
+		if !sorted {
+			slices.SortFunc(idx[i:j], full)
+		}
+		i = j
+	}
+	return idx
+}
+
+// sortBits maps v to a uint64 in the same order, with -0 and +0 equal.
+func sortBits(v float64) uint64 {
+	if v == 0 {
+		return 1 << 63
+	}
+	b := math.Float64bits(v)
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
 }
 
 // MinMax returns the smallest and largest value of a numeric attribute over

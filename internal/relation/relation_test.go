@@ -1,7 +1,11 @@
 package relation
 
 import (
+	"cmp"
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -145,6 +149,48 @@ func TestRelationSortedBy(t *testing.T) {
 	for i := range want {
 		if order[i] != want[i] {
 			t.Fatalf("order = %v, want %v", order, want)
+		}
+	}
+}
+
+// TestOrderMatchesStableSort compares Order with a stable comparison sort
+// on keys built to hit its edges: heavy ties, -0 beside +0, infinities, and
+// distinct keys closer than the radix-sorted prefix can tell apart.
+func TestOrderMatchesStableSort(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	pool := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), 1, -1, 0.3, -2.5e-300}
+	for trial := 0; trial < 300; trial++ {
+		n := r.Intn(300)
+		keys := make([]float64, n)
+		ids := make([]int32, n)
+		for i := range keys {
+			switch r.Intn(4) {
+			case 0:
+				keys[i] = pool[r.Intn(len(pool))]
+			case 1:
+				keys[i] = math.Nextafter(1, 2) + float64(r.Intn(8))*1e-15
+			case 2:
+				keys[i] = float64(r.Intn(5))
+			default:
+				keys[i] = r.NormFloat64() * 1e6
+			}
+			ids[i] = int32(r.Intn(20))
+		}
+		for _, tie := range []func(i, j int32) int{nil, func(i, j int32) int { return cmp.Compare(ids[i], ids[j]) }} {
+			want := make([]int32, n)
+			for i := range want {
+				want[i] = int32(i)
+			}
+			sort.SliceStable(want, func(a, b int) bool {
+				ka, kb := keys[want[a]], keys[want[b]]
+				if ka != kb {
+					return ka < kb
+				}
+				return tie != nil && tie(want[a], want[b]) < 0
+			})
+			if got := Order(keys, tie); !slices.Equal(got, want) {
+				t.Fatalf("trial %d (tie %v): Order = %v, want %v\nkeys %v", trial, tie != nil, got, want, keys)
+			}
 		}
 	}
 }

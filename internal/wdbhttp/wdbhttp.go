@@ -320,10 +320,21 @@ func WithRetry(attempts int, backoff time.Duration) DialOption {
 	}
 }
 
-// Dial fetches the remote schema and returns a ready client.
+// idleConnsPerHost is the idle pool of the transport Dial builds when given
+// no client. The rerank engine keeps up to 8 searches of a batch in flight
+// (core.Options.MaxParallel) and concurrent requests batch at once, so
+// net/http's default of 2 idle connections per host would close and redial
+// most of every batch's connections.
+const idleConnsPerHost = 64
+
+// Dial fetches the remote schema and returns a ready client. A nil hc gets a
+// client of its own, with a 30 s timeout and a keep-alive pool sized to the
+// engine's fan-out.
 func Dial(ctx context.Context, baseURL string, hc *http.Client, opts ...DialOption) (*Client, error) {
 	if hc == nil {
-		hc = &http.Client{Timeout: 30 * time.Second}
+		tr := http.DefaultTransport.(*http.Transport).Clone()
+		tr.MaxIdleConnsPerHost = idleConnsPerHost
+		hc = &http.Client{Timeout: 30 * time.Second, Transport: tr}
 	}
 	dc := dialConfig{attempts: 1, backoff: 500 * time.Millisecond}
 	for _, opt := range opts {

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -353,5 +354,50 @@ func TestDrainCloseReusesConnections(t *testing.T) {
 	// dial per request — this is what DrainClose exists to prevent.
 	if got := do(false, func(r *http.Response) { r.Body.Close() }); got != reqs {
 		t.Fatalf("unread + bare Close: %d requests cost %d dials, want %d (one per request) — if this starts reusing connections, net/http changed and DrainClose may be droppable", reqs, got, reqs)
+	}
+}
+
+// TestDialPoolCoversFanOut checks that a client Dial builds itself keeps a
+// batch's connections alive for the next batch: waves of concurrent
+// searches as wide as the engine's fan-out reuse the first wave's
+// connections instead of dialling afresh, as net/http's default pool of 2
+// idle connections per host would.
+func TestDialPoolCoversFanOut(t *testing.T) {
+	cat := datagen.BlueNile(200, 1)
+	db, err := hidden.NewLocal(cat.Name, cat.Rel, 10, cat.Rank, hidden.WithLatency(20*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dials atomic.Int64
+	srv := httptest.NewUnstartedServer(NewServer(db))
+	srv.Config.ConnState = func(c net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			dials.Add(1)
+		}
+	}
+	srv.Start()
+	defer srv.Close()
+	client, err := Dial(context.Background(), srv.URL, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.hc.CloseIdleConnections()
+
+	const fanOut, waves = 8, 4
+	for w := 0; w < waves; w++ {
+		var wg sync.WaitGroup
+		for i := 0; i < fanOut; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := client.Search(context.Background(), relation.Predicate{}); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	if got := dials.Load(); got > fanOut {
+		t.Fatalf("schema fetch + %d waves of %d concurrent searches cost %d dials, want at most %d", waves, fanOut, got, fanOut)
 	}
 }
