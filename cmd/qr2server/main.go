@@ -8,21 +8,16 @@
 //
 // Every source is fronted by a shared answer cache (internal/qcache) that
 // memoizes top-k searches across all sessions and coalesces identical
-// in-flight queries. By default the caches of all sources form one
-// process-wide pool (-cache-pool) under a single global -cache-bytes
-// budget, so hot sources borrow capacity idle ones are not using;
-// -cache-pool=false reverts to a dedicated per-source budget. -cache-ttl
-// bounds staleness against live databases, and -cache persists the caches
-// across restarts next to the dense indexes. -cache-reuse (default on)
-// additionally serves strictly narrower predicates from complete cached
-// answers without any web-database query; completed region crawls refill
-// the cache the same way. -dense-resident-bytes budgets the decoded
-// tuples each dense index keeps in memory for store-free hit serving.
-//
-// -mem-budget replaces the two fixed budgets with one governed budget:
-// the answer-cache pool and every dense index's tuple residency share the
-// given byte total (internal/memgov), each guaranteed a floor and
-// borrowing whatever the others leave idle.
+// in-flight queries. The caches of all sources form one process-wide
+// pool under a single global -cache-bytes budget, so hot sources borrow
+// capacity idle ones are not using. -cache-ttl bounds staleness against
+// live databases, and -cache persists the caches across restarts next to
+// the dense indexes. -cache-reuse (default on) additionally serves
+// strictly narrower predicates from complete cached answers without any
+// web-database query; completed region crawls refill the cache the same
+// way. -dense-resident-bytes budgets the decoded tuples each dense index
+// keeps in memory for store-free hit serving. These two flags are the
+// only memory budgets: each is fixed at startup.
 //
 // -change-probe enables live change detection against the sources: on
 // the given period each source is replayed a set of recorded sentinel
@@ -80,7 +75,6 @@
 //	qr2server -addr :8080 -sources bluenile,zillow -dense /var/lib/qr2
 //	qr2server -addr :8080 -remote bluenile=http://localhost:8081
 //	qr2server -cache /var/lib/qr2 -cache-bytes 268435456 -cache-ttl 10m
-//	qr2server -mem-budget 1073741824        # one governed GiB for all caches
 //
 //	# three-replica cluster sharing one answer-cache key space:
 //	qr2server -addr :8080 -self a -peers a=http://h1:8080,b=http://h2:8080,c=http://h3:8080
@@ -134,15 +128,11 @@ func main() {
 			"decoded-tuple residency budget per dense index (0 = default 256 MiB, negative disables residency)")
 
 		cacheBytes = flag.Int64("cache-bytes", qcache.DefaultMaxBytes,
-			"answer cache budget in bytes: global across sources with -cache-pool, per source without (0 disables)")
+			"answer cache budget in bytes, global across sources (0 disables)")
 		cacheTTL   = flag.Duration("cache-ttl", 0, "shared answer cache entry TTL (0 = never expire)")
 		cacheDir   = flag.String("cache", "", "directory for persistent answer caches (empty = in-memory)")
 		cacheReuse = flag.Bool("cache-reuse", true,
 			"serve strictly narrower predicates from complete cached answers (overflow-aware reuse)")
-		cachePool = flag.Bool("cache-pool", true,
-			"pool all sources' answer caches under one global -cache-bytes budget with per-source floors (false = dedicated per-source caches; incompatible with -mem-budget)")
-		memBudget = flag.Int64("mem-budget", 0,
-			"single governed byte budget shared by the answer-cache pool and every dense index's tuple residency; implies -cache-pool (0 = size them separately with -cache-bytes / -dense-resident-bytes)")
 		peers = flag.String("peers", "",
 			"comma-separated id=url replica list (including this one) forming a consistent-hash answer-cache ring; empty = stand-alone")
 		self        = flag.String("self", "", "this replica's id in -peers")
@@ -184,22 +174,16 @@ func main() {
 	if (*peers == "") != (*self == "") {
 		log.Fatal("qr2server: -peers and -self must be set together")
 	}
-	if *memBudget > 0 && !*cachePool {
-		// The governed budget works through the pool; honouring one flag
-		// would silently betray the other.
-		log.Fatal("qr2server: -cache-pool=false conflicts with -mem-budget (the governed budget pools the answer caches); drop one")
-	}
 	policy, err := sourcePolicy(*sourceTimeout, *sourceRetries, *breakerThreshold, *breakerOpen, *breakerProbes, *degradedServe)
 	if err != nil {
 		log.Fatalf("qr2server: %v", err)
 	}
 
 	cacheFor := func(name string) *qcache.Config {
-		if *cacheBytes == 0 && *memBudget <= 0 {
+		if *cacheBytes == 0 {
 			return nil
 		}
 		return &qcache.Config{
-			MaxBytes:           *cacheBytes,
 			TTL:                *cacheTTL,
 			Store:              openStore(*cacheDir, name+".qcache"),
 			DisableContainment: !*cacheReuse,
@@ -210,9 +194,8 @@ func main() {
 		Sources:             map[string]service.SourceConfig{},
 		Algorithm:           core.Algorithm(*algo),
 		SimLatency:          *latency,
-		SharedCachePool:     *cachePool,
+		SharedCachePool:     true,
 		CachePoolBytes:      *cacheBytes,
-		MemBudget:           *memBudget,
 		SelfID:              *self,
 		ChangeProbeInterval: *changeProbe,
 		ChangeSentinels:     *sentinels,

@@ -18,18 +18,18 @@
 // web-database query and serving strictly narrower predicates from
 // complete (non-overflowing) answers by client-side filtering.
 //
-// Every byte of cache memory in the process is governed as one budget.
-// The answer caches of all sources form a single qcache.Pool — one set of
-// LRU shards with namespace-prefixed keys under a global byte budget, so
-// hot sources borrow capacity idle sources are not using, bounded by
-// per-namespace floors — and internal/memgov can further split one
-// process budget between that pool and each dense index's decoded-tuple
-// residency (qr2server -mem-budget), each consumer guaranteed a floor and
-// borrowing whatever the others leave idle. The layers also feed each
-// other: a completed region crawl admits the region's full match set into
-// the answer cache (crawl.Admitter), so predicates inside a crawled
-// region that fit under system-k are answered with zero web-database
-// queries.
+// The two shared caches each have one fixed byte budget. The answer caches
+// of all sources form a single qcache.Pool — one set of LRU shards with
+// namespace-prefixed keys under a global byte budget (qr2server
+// -cache-bytes), so hot sources borrow capacity idle sources are not
+// using, bounded by per-namespace floors. Each dense index keeps its
+// decoded tuples resident under its own budget (qr2server
+// -dense-resident-bytes) and re-reads evicted entries from its store.
+// Session tuple caches are bounded by session count and idle TTL, not by
+// bytes. The layers also feed each other: a completed region crawl admits
+// the region's full match set into the answer cache (crawl.Admitter), so
+// predicates inside a crawled region that fit under system-k are answered
+// with zero web-database queries.
 //
 // Because QR2 is a third party with no insider access, every reused
 // answer is only correct while the hidden database has not changed since

@@ -35,7 +35,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/kvstore"
-	"repro/internal/memgov"
 	"repro/internal/region"
 	"repro/internal/relation"
 )
@@ -108,18 +107,6 @@ type Option func(*Index)
 // measurements and very memory-tight deployments).
 func WithResidentBytes(n int64) Option {
 	return func(ix *Index) { ix.res = newResidency(n) }
-}
-
-// WithResidentAccount places the decoded-tuple residency under a governed
-// memgov account instead of a fixed byte count, so the index shares one
-// process-wide budget with the answer-cache pool and its residency border
-// moves with the workload. A nil account keeps the default fixed budget.
-func WithResidentAccount(a *memgov.Account) Option {
-	return func(ix *Index) {
-		if a != nil {
-			ix.res = newGovernedResidency(a)
-		}
-	}
 }
 
 // Open loads the index directory from the store, verifying that every
@@ -642,23 +629,29 @@ func encodeEntry(e Entry) []byte {
 	return buf
 }
 
+// decodeEntry parses a directory record. It accepts exactly the bytes
+// encodeEntry writes: a record whose length disagrees with its dimension
+// count, or whose interval flags carry unknown bits, is corrupt.
 func decodeEntry(buf []byte) (Entry, error) {
 	if len(buf) < 15 || buf[0] != codecVersion {
 		return Entry{}, fmt.Errorf("bad entry header")
 	}
 	e := Entry{ID: binary.LittleEndian.Uint64(buf[1:9]), Count: int(binary.LittleEndian.Uint32(buf[9:13]))}
 	dims := int(binary.LittleEndian.Uint16(buf[13:15]))
+	if len(buf) != 15+21*dims {
+		return Entry{}, fmt.Errorf("entry rect of %d dims in %d bytes", dims, len(buf))
+	}
 	off := 15
 	attrs := make([]int, 0, dims)
 	ivs := make([]relation.Interval, 0, dims)
 	for d := 0; d < dims; d++ {
-		if len(buf) < off+21 {
-			return Entry{}, fmt.Errorf("truncated entry rect")
-		}
 		a := int(binary.LittleEndian.Uint32(buf[off : off+4]))
 		lo := math.Float64frombits(binary.LittleEndian.Uint64(buf[off+4 : off+12]))
 		hi := math.Float64frombits(binary.LittleEndian.Uint64(buf[off+12 : off+20]))
 		flags := buf[off+20]
+		if flags&^3 != 0 {
+			return Entry{}, fmt.Errorf("entry rect dim %d: bad flags %#x", d, flags)
+		}
 		attrs = append(attrs, a)
 		ivs = append(ivs, relation.Interval{Lo: lo, Hi: hi, LoOpen: flags&1 != 0, HiOpen: flags&2 != 0})
 		off += 21
@@ -689,11 +682,18 @@ func encodeTuples(ts []relation.Tuple) []byte {
 	return buf
 }
 
+// decodeTuples parses a tuple blob. The count is checked against the blob
+// before anything is allocated for it — every tuple takes at least 10
+// bytes — so a corrupt count cannot ask for gigabytes; bytes left over
+// after the last tuple are corrupt too.
 func decodeTuples(buf []byte) ([]relation.Tuple, error) {
 	if len(buf) < 4 {
 		return nil, fmt.Errorf("truncated tuple blob")
 	}
 	n := int(binary.LittleEndian.Uint32(buf[:4]))
+	if n > (len(buf)-4)/10 {
+		return nil, fmt.Errorf("tuple blob declares %d tuples in %d bytes", n, len(buf))
+	}
 	off := 4
 	out := make([]relation.Tuple, 0, n)
 	for i := 0; i < n; i++ {
@@ -712,6 +712,9 @@ func decodeTuples(buf []byte) ([]relation.Tuple, error) {
 			off += 8
 		}
 		out = append(out, relation.Tuple{ID: id, Values: vals})
+	}
+	if off != len(buf) {
+		return nil, fmt.Errorf("%d trailing bytes after %d tuples", len(buf)-off, n)
 	}
 	return out, nil
 }

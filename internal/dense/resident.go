@@ -5,7 +5,6 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/memgov"
 	"repro/internal/relation"
 )
 
@@ -32,15 +31,9 @@ const residentOverhead = 128
 
 // residency is the LRU manager of decoded entries. Its mutex guards only
 // the map, list and byte accounting — never store I/O or sorting.
-//
-// The byte budget is a memgov.Account rather than a fixed number: a
-// stand-alone index uses a fixed account, while a service deployment can
-// hand every dense index and the answer-cache pool accounts on one shared
-// governor, so the residency border moves with the workload. The account
-// is nil when residency is disabled outright.
 type residency struct {
 	mu        sync.Mutex
-	acct      *memgov.Account // nil disables residency entirely
+	limit     int64 // byte budget, fixed at Open; negative disables residency
 	bytes     int64
 	elems     map[uint64]*list.Element // entry ID -> *resident element
 	lru       *list.List               // front = most recently used
@@ -61,20 +54,11 @@ type resident struct {
 }
 
 func newResidency(budget int64) *residency {
-	if budget < 0 {
-		return newGovernedResidency(nil)
-	}
 	if budget == 0 {
 		budget = DefaultResidentBytes
 	}
-	return newGovernedResidency(memgov.Fixed(budget))
-}
-
-// newGovernedResidency builds a residency whose budget is the account's
-// (possibly moving) limit. A nil account disables residency.
-func newGovernedResidency(acct *memgov.Account) *residency {
 	return &residency{
-		acct:  acct,
+		limit: budget,
 		elems: make(map[uint64]*list.Element),
 		lru:   list.New(),
 	}
@@ -91,7 +75,7 @@ func tupleBytes(ts []relation.Tuple) int64 {
 
 // get returns the resident entry for id, refreshing its LRU position.
 func (rs *residency) get(id uint64) (*resident, bool) {
-	if rs.acct == nil {
+	if rs.limit < 0 {
 		return nil, false
 	}
 	rs.mu.Lock()
@@ -111,7 +95,7 @@ func (rs *residency) get(id uint64) (*resident, bool) {
 // admit of the same id wins benignly: the existing resident is returned.
 func (rs *residency) admit(id uint64, ts []relation.Tuple) *resident {
 	r := &resident{id: id, tuples: ts, size: tupleBytes(ts), orders: make(map[int][]int32)}
-	if rs.acct == nil || r.size > rs.acct.Limit() {
+	if r.size > rs.limit {
 		return r
 	}
 	rs.mu.Lock()
@@ -122,7 +106,6 @@ func (rs *residency) admit(id uint64, ts []relation.Tuple) *resident {
 	}
 	rs.elems[id] = rs.lru.PushFront(r)
 	rs.bytes += r.size
-	rs.acct.Add(r.size)
 	rs.evictOverLocked(r)
 	return r
 }
@@ -139,16 +122,13 @@ func (rs *residency) charge(r *resident, delta int64) {
 	}
 	r.size += delta
 	rs.bytes += delta
-	rs.acct.Add(delta)
 	rs.evictOverLocked(r)
 }
 
 // evictOverLocked drops cold entries until the budget holds. keep is never
-// evicted: the caller is actively using it. The limit is re-read per pass:
-// under a shared governor it shrinks when a sibling consumer heats up.
+// evicted: the caller is actively using it.
 func (rs *residency) evictOverLocked(keep *resident) {
-	limit := rs.acct.Limit()
-	for rs.bytes > limit {
+	for rs.bytes > rs.limit {
 		cold := rs.lru.Back()
 		if cold == nil {
 			return
@@ -168,14 +148,13 @@ func (rs *residency) removeLocked(el *list.Element) {
 	rs.lru.Remove(el)
 	delete(rs.elems, r.id)
 	rs.bytes -= r.size
-	rs.acct.Add(-r.size)
 }
 
 // purge drops every resident entry and its byte accounting. Resident
 // wrappers already handed to readers stay usable (their tuple slices are
 // immutable); they are simply no longer tracked.
 func (rs *residency) purge() {
-	if rs.acct == nil {
+	if rs.limit < 0 {
 		return
 	}
 	rs.mu.Lock()
@@ -189,7 +168,7 @@ func (rs *residency) purge() {
 // wipe evicts per entry instead of purging the whole warm set. A wrapper
 // already handed to a reader stays usable, exactly as with purge.
 func (rs *residency) purgeID(id uint64) {
-	if rs.acct == nil {
+	if rs.limit < 0 {
 		return
 	}
 	rs.mu.Lock()

@@ -271,8 +271,11 @@ func encodeStored(res hidden.Result, at time.Time) []byte {
 	return buf
 }
 
+// decodeStored parses a persisted record. It accepts exactly the bytes
+// encodeStored writes: an overflow flag other than 0 or 1, or bytes left
+// over after the last tuple, mark the record corrupt.
 func decodeStored(buf []byte) (hidden.Result, time.Time, error) {
-	if len(buf) < 14 || buf[0] != codecVersion {
+	if len(buf) < 14 || buf[0] != codecVersion || buf[9] > 1 {
 		return hidden.Result{}, time.Time{}, fmt.Errorf("bad record header")
 	}
 	at := time.Unix(0, int64(binary.LittleEndian.Uint64(buf[1:9])))
@@ -295,6 +298,9 @@ func decodeStored(buf []byte) (hidden.Result, time.Time, error) {
 			off += 8
 		}
 		res.Tuples = append(res.Tuples, relation.Tuple{ID: id, Values: vals})
+	}
+	if off != len(buf) {
+		return hidden.Result{}, time.Time{}, fmt.Errorf("%d trailing bytes after %d tuples", len(buf)-off, n)
 	}
 	return res, at, nil
 }

@@ -14,7 +14,6 @@ import (
 	"repro/internal/epoch"
 	"repro/internal/hidden"
 	"repro/internal/kvstore"
-	"repro/internal/memgov"
 	"repro/internal/obs"
 	"repro/internal/region"
 	"repro/internal/relation"
@@ -29,12 +28,9 @@ import (
 // borrows capacity a quiet source is not using — the cross-source analogue
 // of a broker-level cache — while a small per-namespace floor keeps one
 // runaway source from evicting the rest to zero.
-//
-// The byte budget is a memgov.Account: fixed when the pool is sized with
-// MaxBytes alone, or governed when the deployment splits one process
-// budget between the pool and the dense indexes' tuple residency.
 type Pool struct {
-	acct      *memgov.Account
+	limit     int64        // global byte budget, fixed at NewPool; negative admits nothing
+	bytes     atomic.Int64 // resident bytes across all namespaces
 	shards    []*shard
 	mask      uint64
 	floorFrac float64
@@ -56,14 +52,11 @@ const DefaultFloorFrac = 0.5
 type PoolConfig struct {
 	// MaxBytes is the global byte budget across all namespaces (default
 	// DefaultMaxBytes). Negative admits no entries, leaving exact-match
-	// coalescing as the only cache effect. Ignored when Account is set.
+	// coalescing as the only cache effect.
 	MaxBytes int64
 	// Shards is the number of independent LRU shards shared by every
 	// namespace (default 16, rounded up to a power of two).
 	Shards int
-	// Account supplies a governed budget (memgov) instead of the fixed
-	// MaxBytes, so the pool and other consumers share one process budget.
-	Account *memgov.Account
 	// FloorFrac is the fraction of the budget set aside as per-namespace
 	// eviction floors, split evenly across namespaces (default
 	// DefaultFloorFrac; negative disables floors). A namespace's coldest
@@ -74,12 +67,8 @@ type PoolConfig struct {
 
 // NewPool builds an empty pool; sources join it with Namespace.
 func NewPool(cfg PoolConfig) *Pool {
-	acct := cfg.Account
-	if acct == nil {
-		if cfg.MaxBytes == 0 {
-			cfg.MaxBytes = DefaultMaxBytes
-		}
-		acct = memgov.Fixed(cfg.MaxBytes)
+	if cfg.MaxBytes == 0 {
+		cfg.MaxBytes = DefaultMaxBytes
 	}
 	n := cfg.Shards
 	if n <= 0 {
@@ -98,7 +87,7 @@ func NewPool(cfg PoolConfig) *Pool {
 		ff = 1
 	}
 	p := &Pool{
-		acct:      acct,
+		limit:     cfg.MaxBytes,
 		shards:    make([]*shard, n),
 		mask:      uint64(n - 1),
 		floorFrac: ff,
@@ -198,13 +187,11 @@ func nsPrefix(id uint32) string {
 // setClock overrides time for TTL tests.
 func (p *Pool) setClock(now func() time.Time) { p.now = now }
 
-// limits reads the governed budget once and derives the per-shard byte
-// budget and the per-namespace eviction floor (the bytes below which a
-// namespace's entries are protected from other namespaces' pressure).
-// One read per admission: under a governor, Account.Limit takes a global
-// mutex, and this is called while holding a shard lock.
+// limits derives the per-shard byte budget and the per-namespace
+// eviction floor (the bytes below which a namespace's entries are
+// protected from other namespaces' pressure) from the pool's budget.
 func (p *Pool) limits() (shardLimit, nsFloor int64) {
-	lim := p.acct.Limit()
+	lim := p.limit
 	if lim < 0 {
 		return -1, 0
 	}
@@ -231,8 +218,7 @@ func (p *Pool) shardFor(key string) *shard {
 
 // PoolStats is a point-in-time snapshot of the whole pool.
 type PoolStats struct {
-	// Limit is the byte budget currently available to the pool (a moving
-	// number when the budget is governed).
+	// Limit is the pool's global byte budget.
 	Limit int64 `json:"limit"`
 	// Bytes and Entries describe global residency across all namespaces.
 	Bytes   int64 `json:"bytes"`
@@ -249,13 +235,13 @@ func (p *Pool) Stats() PoolStats {
 	nss := append([]*namespace(nil), p.nss...)
 	p.mu.Unlock()
 	st := PoolStats{
-		Limit:      p.acct.Limit(),
+		Limit:      p.limit,
+		Bytes:      p.bytes.Load(),
 		Evictions:  p.evictions.Load(),
 		Namespaces: make(map[string]Stats, len(nss)),
 	}
 	for _, ns := range nss {
 		s := ns.stats()
-		st.Bytes += s.Bytes
 		st.Entries += s.Entries
 		st.Namespaces[ns.name] = s
 	}
@@ -742,18 +728,18 @@ func (ns *namespace) admitAt(p relation.Predicate, res hidden.Result, seq uint64
 // Must be called without any shard lock held. keep (a prefixed key) is
 // never evicted — it is the entry whose admission created the pressure.
 func (p *Pool) enforceGlobal(pressure *namespace, keep string) []victim {
-	lim := p.acct.Limit()
-	if lim < 0 || p.acct.Usage() <= lim {
+	lim := p.limit
+	if lim < 0 || p.bytes.Load() <= lim {
 		return nil
 	}
 	_, floor := p.limits()
 	var victims []victim
 	for _, sh := range p.shards {
-		if p.acct.Usage() <= lim {
+		if p.bytes.Load() <= lim {
 			break
 		}
 		sh.mu.Lock()
-		for el := sh.lru.Back(); el != nil && p.acct.Usage() > lim; {
+		for el := sh.lru.Back(); el != nil && p.bytes.Load() > lim; {
 			prev := el.Prev()
 			ce := el.Value.(*entry)
 			switch {
@@ -837,7 +823,7 @@ func (ns *namespace) insertLocked(sh *shard, pkey string, res hidden.Result, at 
 	e := &entry{ns: ns, key: pkey, res: res, size: entrySize(pkey, res), storedAt: at}
 	limit, floor := ns.pool.limits()
 	if e.size > limit {
-		if limit < 0 || e.size > ns.pool.acct.Limit() {
+		if limit < 0 || e.size > ns.pool.limit {
 			return false, nil
 		}
 		e.oversized = true
@@ -847,7 +833,7 @@ func (ns *namespace) insertLocked(sh *shard, pkey string, res hidden.Result, at 
 	sh.bytes += e.size
 	ns.bytes.Add(e.size)
 	ns.entries.Add(1)
-	ns.pool.acct.Add(e.size)
+	ns.pool.bytes.Add(e.size)
 	if ns.complete != nil {
 		ns.complete.register(e.srcKey(), res, at)
 	}
@@ -890,7 +876,7 @@ func removeLocked(sh *shard, el *list.Element) {
 	}
 	e.ns.bytes.Add(-e.size)
 	e.ns.entries.Add(-1)
-	e.ns.pool.acct.Add(-e.size)
+	e.ns.pool.bytes.Add(-e.size)
 	if e.ns.complete != nil {
 		e.ns.complete.unregister(e.srcKey())
 	}

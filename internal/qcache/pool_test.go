@@ -561,3 +561,72 @@ func TestDroppedNamespacePrefixNotReused(t *testing.T) {
 		t.Fatalf("namespace b stats = %+v", st)
 	}
 }
+
+// TestPoolBytesMatchNamespacesAfterChurn: eight goroutines churn two
+// namespaces of a small pool through admissions and evictions. Afterwards
+// the pool's byte count must equal the sum of its namespaces' counts and
+// of its resident entries' sizes, and stay within the pool's limit.
+func TestPoolBytesMatchNamespacesAfterChurn(t *testing.T) {
+	pool := NewPool(PoolConfig{MaxBytes: 32 << 10, Shards: 2})
+	caches := make([]*Cache, 2)
+	for i := range caches {
+		c, err := pool.Namespace(fmt.Sprintf("src%d", i), testDB(t, 2000-500*i, 30), Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		caches[i] = c
+	}
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	errc := make(chan error, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			r := rand.New(rand.NewSource(int64(g)))
+			c := caches[g%2]
+			for i := 0; i < 150; i++ {
+				var p relation.Predicate
+				if i%2 == 0 {
+					lo := r.Float64() * 1400
+					p = pricePred(lo, lo+25)
+				} else {
+					lo := 100 + r.Float64()*50
+					p = pricePred(lo, lo+5)
+				}
+				if _, err := c.Search(ctx, p); err != nil {
+					errc <- fmt.Errorf("goroutine %d iter %d: %w", g, i, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Fatal(err)
+	}
+	st := pool.Stats()
+	var nsBytes int64
+	for _, ns := range st.Namespaces {
+		nsBytes += ns.Bytes
+	}
+	var shardBytes, entryBytes int64
+	for _, sh := range pool.shards {
+		sh.mu.Lock()
+		shardBytes += sh.bytes
+		for el := sh.lru.Front(); el != nil; el = el.Next() {
+			entryBytes += el.Value.(*entry).size
+		}
+		sh.mu.Unlock()
+	}
+	if st.Bytes != nsBytes || st.Bytes != shardBytes || st.Bytes != entryBytes {
+		t.Fatalf("pool counts %d bytes; namespaces %d, shards %d, entries %d", st.Bytes, nsBytes, shardBytes, entryBytes)
+	}
+	if st.Bytes > st.Limit {
+		t.Fatalf("pool holds %d bytes over its %d limit", st.Bytes, st.Limit)
+	}
+	if st.Evictions == 0 {
+		t.Fatalf("no churn: %+v", st)
+	}
+}

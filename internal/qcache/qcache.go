@@ -13,9 +13,7 @@
 // single global byte budget. A stand-alone Cache (New) owns a private
 // pool; a service hosting many sources registers each as a Pool namespace
 // instead, so a hot source borrows cache capacity an idle source is not
-// using, bounded by small per-namespace floors (see Pool). The budget
-// itself can be a fixed byte count or a governed memgov.Account shared
-// with the dense index's tuple residency.
+// using, bounded by small per-namespace floors (see Pool).
 //
 // Identical searches that are in flight at the same time are coalesced
 // singleflight-style — N concurrent users asking the same question cost

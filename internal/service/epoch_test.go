@@ -5,6 +5,9 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"slices"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -296,5 +299,100 @@ func TestRegionBumpScopedServiceWipes(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Fatalf("/metrics missing %q", want)
 		}
+	}
+}
+
+// topPrices runs one ranked query through /api/query and returns the
+// price of each row on page 1.
+func topPrices(t *testing.T, srv *Server, source, rank string, k int) []float64 {
+	t.Helper()
+	form := url.Values{"source": {source}, "rank": {rank}, "k": {strconv.Itoa(k)}}
+	req := httptest.NewRequest(http.MethodPost, "/api/query", strings.NewReader(form.Encode()))
+	req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("query %q returned %d: %s", rank, rec.Code, rec.Body.String())
+	}
+	var doc queryDoc
+	if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	prices := make([]float64, len(doc.Rows))
+	for i, row := range doc.Rows {
+		prices[i] = row.Values["price"].(float64)
+	}
+	return prices
+}
+
+// TestEpochBumpDropsNormalization: the min/max bounds discovered for a
+// source belong to its epoch. After a confirmed bump that moves the
+// price maximum, a query ranked by -price must reach the new maximum
+// instead of stopping at the old one.
+func TestEpochBumpDropsNormalization(t *testing.T) {
+	ctx := context.Background()
+	db := newMutableDB("live", 300, 40)
+	srv, err := New(Config{
+		Sources: map[string]SourceConfig{
+			"live": {DB: db, Cache: &qcache.Config{}},
+		},
+		ChangeSentinels: 6,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := topPrices(t, srv, "live", "-price", 3), []float64{299, 298, 297}; !slices.Equal(got, want) {
+		t.Fatalf("before the shift: top prices %v, want %v", got, want)
+	}
+	if bumped, err := srv.ChangeProbe(ctx, "live"); err != nil || bumped {
+		t.Fatalf("baseline probe: bumped=%v err=%v", bumped, err)
+	}
+	db.version.Store(6) // every price +5
+	if bumped, err := srv.ChangeProbe(ctx, "live"); err != nil || !bumped {
+		t.Fatalf("probe over shifted source: bumped=%v err=%v", bumped, err)
+	}
+	if got, want := topPrices(t, srv, "live", "-price", 3), []float64{304, 303, 302}; !slices.Equal(got, want) {
+		t.Fatalf("after the shift: top prices %v, want %v", got, want)
+	}
+}
+
+// searchHook runs before on every Search of the wrapped database.
+type searchHook struct {
+	hidden.DB
+	before func()
+}
+
+func (h *searchHook) Search(ctx context.Context, p relation.Predicate) (hidden.Result, error) {
+	h.before()
+	return h.DB.Search(ctx, p)
+}
+
+// TestNormalizationDiscoveredAcrossBumpIsNotCached: bounds whose
+// discovery straddled an epoch bump may mix both source versions, so
+// they serve the query that asked for them and are discovered again by
+// the next one.
+func TestNormalizationDiscoveredAcrossBumpIsNotCached(t *testing.T) {
+	var srv atomic.Pointer[Server]
+	var bumped atomic.Bool
+	db := &searchHook{DB: newMutableDB("live", 300, 40), before: func() {
+		if s := srv.Load(); s != nil && bumped.CompareAndSwap(false, true) {
+			s.Epochs().Bump("live")
+		}
+	}}
+	s, err := New(Config{Sources: map[string]SourceConfig{"live": {DB: db, Cache: &qcache.Config{}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Store(s)
+	topPrices(t, s, "live", "-price", 3)
+	if !bumped.Load() {
+		t.Fatal("discovery issued no search")
+	}
+	if _, ok := s.sources["live"].cachedNorm(); ok {
+		t.Fatal("normalisation discovered across a bump was cached")
+	}
+	topPrices(t, s, "live", "-price", 3)
+	if _, ok := s.sources["live"].cachedNorm(); !ok {
+		t.Fatal("normalisation discovered within one epoch was not cached")
 	}
 }

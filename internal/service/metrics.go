@@ -52,21 +52,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(&b, "# HELP qr2_sessions Live user sessions.\n# TYPE qr2_sessions gauge\nqr2_sessions %d\n", s.sessions.Len())
 	if s.pool != nil {
 		ps := s.pool.Stats()
-		fmt.Fprintf(&b, "# HELP qr2_qcache_pool_limit_bytes Global byte budget currently available to the answer-cache pool.\n# TYPE qr2_qcache_pool_limit_bytes gauge\nqr2_qcache_pool_limit_bytes %d\n", ps.Limit)
+		fmt.Fprintf(&b, "# HELP qr2_qcache_pool_limit_bytes Global byte budget of the answer-cache pool.\n# TYPE qr2_qcache_pool_limit_bytes gauge\nqr2_qcache_pool_limit_bytes %d\n", ps.Limit)
 		fmt.Fprintf(&b, "# HELP qr2_qcache_pool_bytes Bytes resident across all pool namespaces.\n# TYPE qr2_qcache_pool_bytes gauge\nqr2_qcache_pool_bytes %d\n", ps.Bytes)
 		fmt.Fprintf(&b, "# HELP qr2_qcache_pool_evictions_total Pool-wide entries evicted for the global byte budget.\n# TYPE qr2_qcache_pool_evictions_total counter\nqr2_qcache_pool_evictions_total %d\n", ps.Evictions)
-	}
-	if s.gov != nil {
-		ms := s.gov.Stats()
-		fmt.Fprintf(&b, "# HELP qr2_mem_budget_bytes Governed process-wide cache byte budget.\n# TYPE qr2_mem_budget_bytes gauge\nqr2_mem_budget_bytes %d\n", ms.Total)
-		fmt.Fprintf(&b, "# HELP qr2_mem_account_bytes Bytes used per governed memory account.\n# TYPE qr2_mem_account_bytes gauge\n")
-		for _, a := range ms.Accounts {
-			fmt.Fprintf(&b, "qr2_mem_account_bytes{account=\"%s\"} %d\n", escapeLabel(a.Name), a.Usage)
-		}
-		fmt.Fprintf(&b, "# HELP qr2_mem_account_limit_bytes Current byte limit per governed memory account.\n# TYPE qr2_mem_account_limit_bytes gauge\n")
-		for _, a := range ms.Accounts {
-			fmt.Fprintf(&b, "qr2_mem_account_limit_bytes{account=\"%s\"} %d\n", escapeLabel(a.Name), a.Limit)
-		}
 	}
 
 	if s.node != nil {

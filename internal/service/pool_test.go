@@ -15,8 +15,7 @@ import (
 	"repro/internal/qcache"
 )
 
-// pooledService builds a two-source service in shared-pool + governed
-// memory mode.
+// pooledService builds a two-source service in shared-pool mode.
 func pooledService(t *testing.T) (*httptest.Server, *Server) {
 	t.Helper()
 	bn := datagen.BlueNile(800, 1)
@@ -34,8 +33,9 @@ func pooledService(t *testing.T) (*httptest.Server, *Server) {
 			"bluenile": {DB: bndb, Cache: &qcache.Config{}},
 			"zillow":   {DB: zldb, Cache: &qcache.Config{}},
 		},
-		Algorithm: core.Rerank,
-		MemBudget: 32 << 20,
+		Algorithm:       core.Rerank,
+		SharedCachePool: true,
+		CachePoolBytes:  32 << 20,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -45,12 +45,12 @@ func pooledService(t *testing.T) (*httptest.Server, *Server) {
 	return ts, srv
 }
 
-// TestStatsReportPoolAndMem: in MemBudget mode /api/stats carries the
-// pool's per-namespace counters and the governed memory accounts.
+// TestStatsReportPoolAndMem: in shared-pool mode /api/stats carries the
+// pool's global residency and per-namespace counters.
 func TestStatsReportPoolAndMem(t *testing.T) {
 	ts, srv := pooledService(t)
-	if srv.pool == nil || srv.gov == nil {
-		t.Fatal("MemBudget did not enable the pool and governor")
+	if srv.pool == nil {
+		t.Fatal("SharedCachePool did not enable the pool")
 	}
 	client := &http.Client{Jar: &cookieJar{cookies: map[string][]*http.Cookie{}}}
 	form := url.Values{"source": {"bluenile"}, "rank": {"price"}, "k": {"3"}}
@@ -70,8 +70,8 @@ func TestStatsReportPoolAndMem(t *testing.T) {
 	if err := json.Unmarshal(body, &doc); err != nil {
 		t.Fatalf("stats decode: %v\n%s", err, body)
 	}
-	if doc.Pool == nil || doc.Mem == nil {
-		t.Fatalf("pool/mem sections missing:\n%s", body)
+	if doc.Pool == nil {
+		t.Fatalf("pool section missing:\n%s", body)
 	}
 	if len(doc.Pool.Namespaces) != 2 {
 		t.Fatalf("pool namespaces = %d, want 2", len(doc.Pool.Namespaces))
@@ -80,22 +80,8 @@ func TestStatsReportPoolAndMem(t *testing.T) {
 	if bn.Misses == 0 {
 		t.Fatalf("bluenile namespace saw no traffic: %+v", bn)
 	}
-	if doc.Pool.Bytes == 0 || doc.Pool.Limit <= 0 {
+	if doc.Pool.Bytes == 0 || doc.Pool.Limit != 32<<20 {
 		t.Fatalf("pool residency not reported: %+v", doc.Pool)
-	}
-	// Governor accounts: the pool plus one residency per source, with the
-	// answer-cache usage visible to the governor.
-	if doc.Mem.Total != 32<<20 || len(doc.Mem.Accounts) != 3 {
-		t.Fatalf("mem stats = %+v", doc.Mem)
-	}
-	var qcacheUsage int64 = -1
-	for _, a := range doc.Mem.Accounts {
-		if a.Name == "qcache" {
-			qcacheUsage = a.Usage
-		}
-	}
-	if qcacheUsage != doc.Pool.Bytes {
-		t.Fatalf("governor sees %d qcache bytes, pool holds %d", qcacheUsage, doc.Pool.Bytes)
 	}
 }
 

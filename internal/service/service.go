@@ -30,11 +30,11 @@
 //
 // In shared-pool mode (Config.SharedCachePool) every source's cache is a
 // namespace of one process-wide qcache.Pool under a single global byte
-// budget, so hot sources borrow cache capacity idle ones are not using;
-// with Config.MemBudget the pool and every dense index's tuple residency
-// are further governed by one memgov budget that splits dynamically
-// between them. Complete region crawls refill the pool (crawl.Admitter),
-// so predicates inside a crawled region are served client-side.
+// budget (Config.CachePoolBytes), so hot sources borrow cache capacity
+// idle ones are not using. Each dense index's tuple residency has its own
+// fixed budget (SourceConfig.DenseResidentBytes). Complete region crawls
+// refill the pool (crawl.Admitter), so predicates inside a crawled region
+// are served client-side.
 //
 // In cluster mode (Config.SelfID/Peers) the answer caches additionally
 // join a consistent-hash replica ring (internal/cluster): every canonical
@@ -95,7 +95,6 @@ import (
 	"repro/internal/epoch"
 	"repro/internal/hidden"
 	"repro/internal/kvstore"
-	"repro/internal/memgov"
 	"repro/internal/obs"
 	"repro/internal/qcache"
 	"repro/internal/ranking"
@@ -149,17 +148,10 @@ type Config struct {
 	// of one process-wide qcache.Pool under a single global byte budget
 	// (CachePoolBytes), so hot sources borrow cache capacity idle sources
 	// are not using. Per-source Cache.MaxBytes is ignored in pool mode.
-	// Implied by MemBudget > 0.
 	SharedCachePool bool
 	// CachePoolBytes sizes the pooled answer cache when SharedCachePool
-	// is set without MemBudget (0 = qcache.DefaultMaxBytes).
+	// is set (0 = qcache.DefaultMaxBytes).
 	CachePoolBytes int64
-	// MemBudget, when positive, governs every cache byte in the process —
-	// the pooled answer cache and each source's dense-index tuple
-	// residency — through one memgov.Governor: each consumer is
-	// guaranteed a floor share and borrows whatever the others leave
-	// idle. Overrides CachePoolBytes and SourceConfig.DenseResidentBytes.
-	MemBudget int64
 	// SelfID and Peers join this replica to a consistent-hash cluster
 	// (internal/cluster): Peers maps every replica id — including SelfID —
 	// to its base URL, and each source's answer cache becomes one ring
@@ -218,24 +210,14 @@ type Config struct {
 	Logger *slog.Logger
 }
 
-// Budget shares guaranteed under a MemBudget governor: a quarter of the
-// budget floors the answer-cache pool, a quarter is split across the
-// dense indexes' residencies, and the remaining half floats to whichever
-// consumer is hot.
-const (
-	memShareQCache = 0.25
-	memShareDense  = 0.25
-)
-
 // Server is the QR2 HTTP service.
 type Server struct {
 	cfg      Config
 	sessions *session.Manager
 	sources  map[string]*source
-	pool     *qcache.Pool     // non-nil in shared-pool mode
-	gov      *memgov.Governor // non-nil when MemBudget governs the caches
-	node     *cluster.Node    // non-nil when SelfID/Peers join a replica ring
-	epochs   *epoch.Registry  // the source-epoch lifecycle, always present
+	pool     *qcache.Pool    // non-nil in shared-pool mode
+	node     *cluster.Node   // non-nil when SelfID/Peers join a replica ring
+	epochs   *epoch.Registry // the source-epoch lifecycle, always present
 	probers  map[string]*epoch.Prober
 	obsC     *obs.Collector  // nil when tracing is disabled (TraceBuffer < 0)
 	slo      *obs.SLOTracker // nil when tracing is disabled
@@ -254,6 +236,10 @@ type source struct {
 	res     *resilience.Source // fault policy shared by serving path and prober
 	popular []string
 
+	// discMu serialises normalisation discovery, which runs web queries;
+	// normMu guards only the norm pointer, so an epoch bump that drops it
+	// never waits on a discovery in flight.
+	discMu sync.Mutex
 	normMu sync.Mutex
 	norm   *ranking.Normalization
 }
@@ -306,10 +292,6 @@ func New(cfg Config) (*Server, error) {
 		})
 		s.slo = obs.NewSLOTracker(cfg.SLO)
 	}
-	if cfg.MemBudget > 0 {
-		s.gov = memgov.New(cfg.MemBudget)
-		cfg.SharedCachePool = true
-	}
 	anyCached := false
 	for _, sc := range cfg.Sources {
 		if sc.Cache != nil {
@@ -317,11 +299,7 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	if cfg.SharedCachePool && anyCached {
-		pc := qcache.PoolConfig{MaxBytes: cfg.CachePoolBytes}
-		if s.gov != nil {
-			pc.Account = s.gov.Account("qcache", memShareQCache)
-		}
-		s.pool = qcache.NewPool(pc)
+		s.pool = qcache.NewPool(qcache.PoolConfig{MaxBytes: cfg.CachePoolBytes})
 	}
 	if cfg.SelfID != "" || len(cfg.Peers) > 0 {
 		if !anyCached {
@@ -351,12 +329,7 @@ func New(cfg Config) (*Server, error) {
 		if store == nil {
 			store = kvstore.NewMemory()
 		}
-		denseOpt := dense.WithResidentBytes(sc.DenseResidentBytes)
-		if s.gov != nil {
-			denseOpt = dense.WithResidentAccount(
-				s.gov.Account("dense/"+name, memShareDense/float64(len(cfg.Sources))))
-		}
-		ix, err := dense.Open(sc.DB.Schema(), store, denseOpt)
+		ix, err := dense.Open(sc.DB.Schema(), store, dense.WithResidentBytes(sc.DenseResidentBytes))
 		if err != nil {
 			return nil, fmt.Errorf("service: open dense index for %q: %w", name, err)
 		}
@@ -447,7 +420,16 @@ func New(cfg Config) (*Server, error) {
 			pc.Hot = cache.HotPredicates
 		}
 		s.probers[name] = epoch.NewProber(s.epochs, name, raw, pc)
-		s.sources[name] = &source{name: name, db: db, cache: cache, ix: ix, res: res, popular: sc.Popular}
+		src := &source{name: name, db: db, cache: cache, ix: ix, res: res, popular: sc.Popular}
+		// Any bump, scoped or not, can move an attribute's extreme, so the
+		// discovered normalisation goes with it and is rediscovered on the
+		// next query.
+		s.epochs.Subscribe(name, func(epoch.Epoch) {
+			src.normMu.Lock()
+			src.norm = nil
+			src.normMu.Unlock()
+		})
+		s.sources[name] = src
 	}
 	if s.node != nil {
 		s.node.Register(s.mux)
@@ -516,18 +498,24 @@ func (s *Server) StartChangeProbes(ctx context.Context) {
 	}
 }
 
-// normalization lazily discovers a source's min/max bounds once. The
-// discovery runs real web queries, so it is fenced on the source's
-// breaker: with the circuit open and no cached bounds the request fails
-// fast instead of spending its latency budget on short-circuited
-// probes, and bounds fabricated from degraded (empty) answers are never
-// cached — they would skew every later query's normalisation.
+// normalization lazily discovers a source's min/max bounds once per
+// source epoch. The discovery runs real web queries, so it is fenced on
+// the source's breaker: with the circuit open and no cached bounds the
+// request fails fast instead of spending its latency budget on
+// short-circuited probes, and bounds fabricated from degraded (empty)
+// answers are never cached — they would skew every later query's
+// normalisation. Bounds discovered while the epoch moved are returned
+// to their caller but not cached, since they may mix both versions.
 func (s *Server) normalization(ctx context.Context, src *source) (ranking.Normalization, error) {
-	src.normMu.Lock()
-	defer src.normMu.Unlock()
-	if src.norm != nil {
-		return *src.norm, nil
+	if norm, ok := src.cachedNorm(); ok {
+		return norm, nil
 	}
+	src.discMu.Lock()
+	defer src.discMu.Unlock()
+	if norm, ok := src.cachedNorm(); ok {
+		return norm, nil
+	}
+	seq := s.epochs.Seq(src.name)
 	if src.res != nil && src.res.State() == resilience.Open {
 		return ranking.Normalization{}, fmt.Errorf("service: source %q: %w", src.name, resilience.ErrOpen)
 	}
@@ -549,8 +537,23 @@ func (s *Server) normalization(ctx context.Context, src *source) (ranking.Normal
 	if src.res != nil && src.res.Stats().DegradedServes != degradedBefore {
 		return ranking.Normalization{}, fmt.Errorf("service: source %q degraded during normalisation discovery", src.name)
 	}
-	src.norm = &norm
+	src.normMu.Lock()
+	if s.epochs.Seq(src.name) == seq {
+		src.norm = &norm
+	}
+	src.normMu.Unlock()
 	return norm, nil
+}
+
+// cachedNorm returns the normalisation discovered under the current
+// epoch, if any.
+func (src *source) cachedNorm() (ranking.Normalization, bool) {
+	src.normMu.Lock()
+	defer src.normMu.Unlock()
+	if src.norm == nil {
+		return ranking.Normalization{}, false
+	}
+	return *src.norm, true
 }
 
 type sourceDoc struct {
@@ -685,9 +688,6 @@ type serviceStatsDoc struct {
 	// Pool describes the process-wide answer-cache pool (shared-pool mode
 	// only): global residency plus per-namespace counters.
 	Pool *qcache.PoolStats `json:"pool,omitempty"`
-	// Mem describes the governed process memory budget (MemBudget mode
-	// only): per-account usage, floors and current limits.
-	Mem *memgov.Stats `json:"mem,omitempty"`
 	// Cluster describes the replica ring (cluster mode only): membership
 	// with per-peer health, and the ownership/forward/fallback counters.
 	Cluster *cluster.Stats `json:"cluster,omitempty"`
@@ -707,10 +707,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if s.pool != nil {
 		ps := s.pool.Stats()
 		doc.Pool = &ps
-	}
-	if s.gov != nil {
-		ms := s.gov.Stats()
-		doc.Mem = &ms
 	}
 	if s.node != nil {
 		cs := s.node.Stats()
