@@ -22,6 +22,7 @@ import (
 	"repro/internal/qcache"
 	"repro/internal/ranking"
 	"repro/internal/relation"
+	"repro/internal/session"
 )
 
 // benchExperiment reruns one experiment per iteration and reports the sum
@@ -200,6 +201,65 @@ func BenchmarkGetNext(b *testing.B) {
 				queries = st.TotalStats().Queries
 			}
 			b.ReportMetric(float64(queries), "wdbqueries")
+		})
+	}
+}
+
+// BenchmarkWarmPage measures the engine's share of a request that needs
+// no web query: a fresh stream over a qcache-fronted simulator (Blue Nile,
+// system-k 50) whose answers are already cached, with a session cache,
+// producing one 20-row page. Two pages warm the answer cache and the
+// session first. Allocations are reported next to the time, and
+// wdbqueries/op shows that the page stays off the web database.
+func BenchmarkWarmPage(b *testing.B) {
+	cat := datagen.BlueNile(20000, 7)
+	price, _ := cat.Rel.Schema().Lookup("price")
+	q := core.Query{
+		Pred: relation.Predicate{}.WithInterval(price, relation.Closed(1000, 8000)),
+		Rank: ranking.MustParse("price - 0.1*carat - 0.5*depth"),
+	}
+	for _, algo := range []core.Algorithm{core.Baseline, core.Binary, core.Rerank, core.TA} {
+		b.Run(string(algo), func(b *testing.B) {
+			ctx := context.Background()
+			db, err := hidden.NewLocal(cat.Name, cat.Rel, 50, cat.Rank)
+			if err != nil {
+				b.Fatal(err)
+			}
+			c, err := qcache.New(db, qcache.Config{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			sess, err := session.NewManager(0, 0).New()
+			if err != nil {
+				b.Fatal(err)
+			}
+			rr, err := core.New(c, core.Options{Algorithm: algo, Cache: sess.Scoped(cat.Name)})
+			if err != nil {
+				b.Fatal(err)
+			}
+			page := func() {
+				st, err := rr.Rerank(ctx, q)
+				if err != nil {
+					b.Fatal(err)
+				}
+				rows, err := st.NextN(ctx, 20)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(rows) != 20 {
+					b.Fatalf("page of %d rows, want 20", len(rows))
+				}
+			}
+			page()
+			page()
+			before := db.QueryCount()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				page()
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(db.QueryCount()-before)/float64(b.N), "wdbqueries/op")
 		})
 	}
 }

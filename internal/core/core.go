@@ -313,22 +313,23 @@ func discoverExtreme(ctx context.Context, ex *parallel.Executor, attr int, a rel
 	return proven, nil
 }
 
+// rankLess is the stream order: ascending score, ties broken by ascending
+// tuple ID. The candidate heap and BruteForceTop both order by it.
+func rankLess(scoreA float64, idA int64, scoreB float64, idB int64) bool {
+	if scoreA != scoreB {
+		return scoreA < scoreB
+	}
+	return idA < idB
+}
+
 // BruteForceTop returns the first n matching tuples of q under the stream
-// ordering (score, then ID), computed by scanning rel directly. It is the
-// test and documentation oracle — it sees the raw relation, which no
+// ordering rankLess (score, then ID), computed by scanning rel directly. It
+// is the test and documentation oracle — it sees the raw relation, which no
 // third-party service could.
 func BruteForceTop(rel *relation.Relation, pred relation.Predicate, sc *ranking.Scorer, n int) []relation.Tuple {
 	matches := rel.Select(pred)
-	order := make([]int, len(matches))
-	for i := range order {
-		order[i] = i
-	}
 	less := func(a, b int) bool {
-		sa, sb := sc.Score(matches[a]), sc.Score(matches[b])
-		if sa != sb {
-			return sa < sb
-		}
-		return matches[a].ID < matches[b].ID
+		return rankLess(sc.Score(matches[a]), matches[a].ID, sc.Score(matches[b]), matches[b].ID)
 	}
 	// Simple selection of the top-n to keep the oracle obviously correct.
 	out := make([]relation.Tuple, 0, n)

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/crawl"
 	"repro/internal/obs"
+	"repro/internal/ranking"
 	"repro/internal/region"
 	"repro/internal/relation"
 )
@@ -56,15 +57,25 @@ type engine struct {
 	st   *Stream
 	algo Algorithm
 
-	attrs     []int     // schema positions of the ranking attributes
-	weights   []float64 // aligned with attrs
-	domain    region.Rect
+	attrs   []int     // schema positions of the ranking attributes
+	weights []float64 // aligned with attrs
+	domain  region.Rect
+	// rawDomain is domain in raw attribute coordinates, with its edges
+	// taken from the filter or the discovered extrema rather than
+	// round-tripped through the normalisation, which can move a bound one
+	// ulp inward and drop the tuples on it.
+	rawDomain region.Rect
 	refWidths []float64 // domain widths, for relative width measures
 	minSplit  []float64 // minimal splittable width per dimension
 
 	leaves      []*leaf
 	initialized bool
 	empty       bool
+
+	// Per-iteration scratch, reused across iterations and get-nexts.
+	frontier, dormant, toQuery []*leaf
+	preds                      []relation.Predicate // aligned with toQuery
+	rawIvs                     []relation.Interval  // see scratchRawRect
 }
 
 func newEngine(st *Stream, algo Algorithm) (*engine, error) {
@@ -73,6 +84,7 @@ func newEngine(st *Stream, algo Algorithm) (*engine, error) {
 	schema := st.r.db.Schema()
 	e := &engine{st: st, algo: algo, attrs: sc.Attrs(), weights: sc.Weights()}
 	ivs := make([]relation.Interval, len(e.attrs))
+	rawIvs := make([]relation.Interval, len(e.attrs))
 	e.refWidths = make([]float64, len(e.attrs))
 	e.minSplit = make([]float64, len(e.attrs))
 	for i, a := range e.attrs {
@@ -82,6 +94,15 @@ func newEngine(st *Stream, algo Algorithm) (*engine, error) {
 			Hi: norm.Normalize(a, filter.Hi), HiOpen: filter.HiOpen,
 		}
 		ivs[i] = relation.Closed(0, 1).Intersect(nIv)
+		// The raw edges follow the choice Intersect made: the filter's
+		// bound where it binds, else the discovered extreme.
+		rawIvs[i] = relation.Closed(norm.Min[a], norm.Max[a])
+		if nIv.Lo > 0 || (nIv.Lo == 0 && nIv.LoOpen) {
+			rawIvs[i].Lo, rawIvs[i].LoOpen = filter.Lo, filter.LoOpen
+		}
+		if nIv.Hi < 1 || (nIv.Hi == 1 && nIv.HiOpen) {
+			rawIvs[i].Hi, rawIvs[i].HiOpen = filter.Hi, filter.HiOpen
+		}
 		if ivs[i].Empty() {
 			e.empty = true
 		}
@@ -102,24 +123,41 @@ func newEngine(st *Stream, algo Algorithm) (*engine, error) {
 		return nil, err
 	}
 	e.domain = rect
+	e.rawDomain = region.Rect{Attrs: rect.Attrs, Ivs: rawIvs}
 	return e, nil
 }
 
-// rawRect converts a normalised rect into raw attribute coordinates.
-func (e *engine) rawRect(nr region.Rect) region.Rect {
+// rawRect converts a normalised rect into raw attribute coordinates. The
+// result shares nr's Attrs and writes its intervals over buf when buf has
+// room. An edge on the domain's edge maps to the exact raw bound of
+// rawDomain.
+func (e *engine) rawRect(nr region.Rect, buf []relation.Interval) region.Rect {
 	norm := e.st.scorer.Norm()
-	out := nr.Clone()
-	for i, a := range out.Attrs {
-		out.Ivs[i].Lo = norm.Denormalize(a, out.Ivs[i].Lo)
-		out.Ivs[i].Hi = norm.Denormalize(a, out.Ivs[i].Hi)
+	ivs := append(buf[:0], nr.Ivs...)
+	for i, a := range nr.Attrs {
+		ivs[i].Lo = e.rawValue(i, a, norm, ivs[i].Lo)
+		ivs[i].Hi = e.rawValue(i, a, norm, ivs[i].Hi)
 	}
-	return out
+	return region.Rect{Attrs: nr.Attrs, Ivs: ivs}
 }
 
-// queryPredicate is the web-database query for a region: the user filter
-// plus the region's raw bounds.
-func (e *engine) queryPredicate(nr region.Rect) relation.Predicate {
-	return e.rawRect(nr).Predicate(e.st.pred)
+// scratchRawRect is rawRect over the engine's scratch intervals: the
+// result is valid until the next call.
+func (e *engine) scratchRawRect(nr region.Rect) region.Rect {
+	rr := e.rawRect(nr, e.rawIvs)
+	e.rawIvs = rr.Ivs
+	return rr
+}
+
+// rawValue denormalises coordinate x of dimension i (attribute a).
+func (e *engine) rawValue(i, a int, norm ranking.Normalization, x float64) float64 {
+	switch x {
+	case e.domain.Ivs[i].Lo:
+		return e.rawDomain.Ivs[i].Lo
+	case e.domain.Ivs[i].Hi:
+		return e.rawDomain.Ivs[i].Hi
+	}
+	return norm.Denormalize(a, x)
 }
 
 // next implements nextImpl.
@@ -134,8 +172,8 @@ func (e *engine) next(ctx context.Context) (relation.Tuple, bool, error) {
 		e.initialized = true
 	}
 	budget := e.st.r.opt.MaxQueriesPerNext
-	startQueries := e.st.exec.Stats().Queries
-	used := func() int { return int(e.st.exec.Stats().Queries - startQueries) }
+	startQueries := e.st.exec.Counters().Queries
+	used := func() int { return int(e.st.exec.Counters().Queries - startQueries) }
 
 	specBudget := e.st.r.opt.MaxParallel
 	for iter := 0; iter < 1<<20; iter++ {
@@ -179,19 +217,23 @@ func (e *engine) next(ctx context.Context) (relation.Tuple, bool, error) {
 			}
 		}
 
-		// Dense-index lookups resolve regions for free (Rerank only).
-		toQuery := frontier
+		// Dense-index lookups resolve regions for free (Rerank only). The
+		// query for a region is the user filter plus its raw bounds.
+		toQuery, preds := frontier, e.preds[:0]
 		if e.algo == Rerank {
-			toQuery = toQuery[:0:0]
+			toQuery = e.toQuery[:0]
 			for _, lf := range frontier {
-				hit, err := e.tryDenseIndex(ctx, lf)
+				rr := e.scratchRawRect(lf.rect)
+				hit, err := e.tryDenseIndex(ctx, lf, rr)
 				if err != nil {
 					return relation.Tuple{}, false, err
 				}
 				if !hit {
 					toQuery = append(toQuery, lf)
+					preds = append(preds, rr.Predicate(e.st.pred))
 				}
 			}
+			e.toQuery = toQuery
 			if len(toQuery) == 0 {
 				continue
 			}
@@ -218,10 +260,12 @@ func (e *engine) next(ctx context.Context) (relation.Tuple, bool, error) {
 		if used()+len(toQuery) > budget {
 			return relation.Tuple{}, false, fmt.Errorf("%w (budget %d)", ErrBudget, budget)
 		}
-		preds := make([]relation.Predicate, len(toQuery))
-		for i, lf := range toQuery {
-			preds[i] = e.queryPredicate(lf.rect)
+		if e.algo != Rerank {
+			for _, lf := range toQuery {
+				preds = append(preds, e.scratchRawRect(lf.rect).Predicate(e.st.pred))
+			}
 		}
+		e.preds = preds
 		results, err := e.st.exec.SearchBatch(ctx, preds)
 		if err != nil {
 			return relation.Tuple{}, false, err
@@ -246,7 +290,9 @@ func (e *engine) next(ctx context.Context) (relation.Tuple, bool, error) {
 // when every tuple in it scores strictly below the last produced score —
 // by the get-next invariant all such tuples have been produced. A leaf is
 // dormant when no tuple in it can beat the current candidate.
+// The two slices are the engine's scratch buffers, valid until the next call.
 func (e *engine) pruneAndFrontier(candScore float64, haveCand bool) (frontier, dormant []*leaf) {
+	frontier, dormant = e.frontier[:0], e.dormant[:0]
 	live := e.leaves[:0]
 	for _, lf := range e.leaves {
 		if lf.state == leafEnumerated {
@@ -268,6 +314,7 @@ func (e *engine) pruneAndFrontier(candScore float64, haveCand bool) (frontier, d
 		}
 	}
 	e.leaves = live
+	e.frontier, e.dormant = frontier, dormant
 	return frontier, dormant
 }
 
@@ -282,11 +329,11 @@ func sortLeavesByLinearMin(ls []*leaf) {
 // rankings — every 1D stream, including the per-attribute sorted-access
 // substreams of MD-TA — go through the index's cached per-attribute
 // ordering instead of an ad-hoc sort.
-func (e *engine) tryDenseIndex(ctx context.Context, lf *leaf) (bool, error) {
+// rr is the leaf's rect in raw coordinates.
+func (e *engine) tryDenseIndex(ctx context.Context, lf *leaf, rr region.Rect) (bool, error) {
 	// The dense index itself is context-free; the span is opened here,
 	// the nearest layer that still holds the request context.
 	tm := obs.FromContext(ctx).Start(obs.StageDenseTopIn)
-	rr := e.rawRect(lf.rect)
 	entry, ok := e.st.r.ix.Find(rr)
 	if !ok {
 		tm.End(obs.OutcomeMiss)
@@ -390,7 +437,7 @@ func (e *engine) crawlLeaf(ctx context.Context, lf *leaf, remaining int) error {
 	}
 	reusable := e.algo == Rerank
 	var pred relation.Predicate
-	rr := e.rawRect(lf.rect)
+	rr := e.rawRect(lf.rect, nil)
 	if reusable {
 		pred = rr.Predicate(relation.Predicate{})
 	} else {

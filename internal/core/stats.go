@@ -67,14 +67,15 @@ func (s *OpStats) add(o OpStats) {
 }
 
 // execDelta converts the difference of two executor snapshots into OpStats
-// fields.
+// fields. after.BatchSizes must hold only the batches since before
+// (Executor.StatsSince).
 func execDelta(before, after parallel.Stats) OpStats {
 	return OpStats{
 		Queries:           after.Queries - before.Queries,
 		Batches:           after.Batches - before.Batches,
 		ParallelBatches:   after.ParallelBatches - before.ParallelBatches,
 		QueriesInParallel: after.QueriesInParallel - before.QueriesInParallel,
-		BatchSizes:        append([]int(nil), after.BatchSizes[len(before.BatchSizes):]...),
+		BatchSizes:        after.BatchSizes,
 		SimElapsed:        after.SimElapsed - before.SimElapsed,
 	}
 }

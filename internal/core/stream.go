@@ -19,12 +19,17 @@ type Stream struct {
 	scorer *ranking.Scorer
 	exec   *parallel.Executor
 
-	// stash holds every tuple the stream has observed (query results,
-	// crawls, cache seeds), keyed by ID. Stash entries always match pred.
-	stash map[int64]relation.Tuple
+	// seen holds the ID of every pred-matching tuple the stream has
+	// observed (query results, crawls, cache seeds). A tuple enters cands
+	// the first time it is seen and never again, so a produced tuple
+	// cannot come back.
+	seen map[int64]struct{}
+	// cands holds the seen, not yet produced tuples, each scored once on
+	// arrival, as a min-heap by (score, ID): its top is the best
+	// candidate.
+	cands candHeap
 	// produced are the tuples already returned, in rank order.
-	produced    []relation.Tuple
-	producedSet map[int64]struct{}
+	produced []relation.Tuple
 	// lastScore is the score of the most recently produced tuple; by the
 	// get-next invariant every matching tuple scoring strictly below it
 	// has been produced.
@@ -57,22 +62,25 @@ func (r *Reranker) Rerank(ctx context.Context, q Query) (*Stream, error) {
 		return nil, err
 	}
 	st := &Stream{
-		r:           r,
-		pred:        q.Pred,
-		scorer:      scorer,
-		exec:        r.newExecutor(),
-		stash:       make(map[int64]relation.Tuple),
-		producedSet: make(map[int64]struct{}),
-		lastScore:   negInf,
+		r:         r,
+		pred:      q.Pred,
+		scorer:    scorer,
+		exec:      r.newExecutor(),
+		lastScore: negInf,
 	}
-	// Seed the stash from the user-level session cache (§II-A): every
-	// cached tuple matching the filter is a warm candidate.
+	// Seed the candidates from the user-level session cache (§II-A):
+	// every cached tuple matching the filter is a warm candidate.
+	var seeds []relation.Tuple
 	if r.opt.Cache != nil {
-		seeds := r.opt.Cache.CachedMatching(q.Pred)
-		for _, t := range seeds {
-			st.stash[t.ID] = t
-		}
+		seeds = r.opt.Cache.CachedMatching(q.Pred)
 		st.total.CacheCandidates += int64(len(seeds))
+	}
+	st.seen = make(map[int64]struct{}, len(seeds))
+	st.cands = make(candHeap, 0, len(seeds))
+	for _, t := range seeds {
+		if _, ok := st.seen[t.ID]; !ok {
+			st.add(t)
+		}
 	}
 	algo := r.opt.Algorithm
 	if algo == TA && scorer.Dims() > 1 {
@@ -119,9 +127,9 @@ func (st *Stream) Next(ctx context.Context) (t relation.Tuple, ok bool, err erro
 	// executor delta is merged on top afterwards.
 	st.last = OpStats{}
 	start := time.Now()
-	before := st.exec.Stats()
+	before := st.exec.Counters()
 	t, ok, err = st.impl.next(ctx)
-	delta := execDelta(before, st.exec.Stats())
+	delta := execDelta(before, st.exec.StatsSince(int(before.Batches)))
 	delta.Elapsed = time.Since(start)
 	if err == nil && ok {
 		delta.Produced = 1
@@ -132,11 +140,11 @@ func (st *Stream) Next(ctx context.Context) (t relation.Tuple, ok bool, err erro
 	return t, ok, err
 }
 
-// produce registers a tuple as returned to the user.
+// produce registers a tuple as returned to the user. The engines only
+// ever return the best candidate, so t is the top of cands.
 func (st *Stream) produce(t relation.Tuple) {
 	st.produced = append(st.produced, t)
-	st.producedSet[t.ID] = struct{}{}
-	st.lastScore = st.scorer.Score(t)
+	st.lastScore = st.cands.pop().score
 	if st.r.opt.Cache != nil {
 		st.r.opt.Cache.CacheTuples(t)
 	}
@@ -158,39 +166,85 @@ func (st *Stream) NextN(ctx context.Context, n int) ([]relation.Tuple, error) {
 	return out, nil
 }
 
-// observe stores query-result tuples into the stash and the session cache.
-// Only tuples matching the stream predicate are retained.
+// observe makes every first-seen tuple matching the stream predicate a
+// candidate, and hands all of ts to the session cache.
 func (st *Stream) observe(ts []relation.Tuple) {
 	for _, t := range ts {
-		if _, ok := st.stash[t.ID]; ok {
+		if _, ok := st.seen[t.ID]; ok || !st.pred.Match(t) {
 			continue
 		}
-		if !st.pred.Match(t) {
-			continue
-		}
-		st.stash[t.ID] = t
+		st.add(t)
 	}
 	if st.r.opt.Cache != nil {
 		st.r.opt.Cache.CacheTuples(ts...)
 	}
 }
 
-// bestCandidate scans the stash for the unproduced tuple with the smallest
-// (score, ID).
+// add scores a first-seen matching tuple and makes it a candidate.
+func (st *Stream) add(t relation.Tuple) {
+	st.seen[t.ID] = struct{}{}
+	st.cands.push(candidate{score: st.scorer.Score(t), t: t})
+}
+
+// bestCandidate returns the unproduced tuple with the smallest (score, ID)
+// and its score: the top of cands.
 func (st *Stream) bestCandidate() (relation.Tuple, float64, bool) {
-	var (
-		best  relation.Tuple
-		score float64
-		found bool
-	)
-	for id, t := range st.stash {
-		if _, done := st.producedSet[id]; done {
-			continue
-		}
-		s := st.scorer.Score(t)
-		if !found || s < score || (s == score && t.ID < best.ID) {
-			best, score, found = t, s, true
-		}
+	if len(st.cands) == 0 {
+		return relation.Tuple{}, 0, false
 	}
-	return best, score, found
+	c := st.cands[0]
+	return c.t, c.score, true
+}
+
+// candidate is a seen tuple with its score.
+type candidate struct {
+	score float64
+	t     relation.Tuple
+}
+
+// candHeap is a binary min-heap of candidates ordered by rankLess. It is
+// written out rather than built on container/heap, whose interface boxes
+// every pushed element.
+type candHeap []candidate
+
+func (h candHeap) less(i, j int) bool {
+	return rankLess(h[i].score, h[i].t.ID, h[j].score, h[j].t.ID)
+}
+
+func (h *candHeap) push(c candidate) {
+	*h = append(*h, c)
+	q := *h
+	for i := len(q) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !q.less(i, parent) {
+			break
+		}
+		q[i], q[parent] = q[parent], q[i]
+		i = parent
+	}
+}
+
+func (h *candHeap) pop() candidate {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	q[0] = q[n]
+	q[n] = candidate{} // drop the tuple reference
+	q = q[:n]
+	for i := 0; ; {
+		m, l := i, 2*i+1
+		if l < n && q.less(l, m) {
+			m = l
+		}
+		if r := l + 1; r < n && q.less(r, m) {
+			m = r
+		}
+		if m == i {
+			break
+		}
+		q[i], q[m] = q[m], q[i]
+		i = m
+	}
+	*h = q
+	return top
 }

@@ -205,11 +205,28 @@ func (e *Executor) record(n int) {
 }
 
 // Stats returns a copy of the accumulated statistics.
-func (e *Executor) Stats() Stats {
+func (e *Executor) Stats() Stats { return e.StatsSince(0) }
+
+// Counters returns the accumulated statistics without the BatchSizes
+// history. It does not allocate, so per-iteration callers can poll it.
+func (e *Executor) Counters() Stats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	out := e.stats
-	out.BatchSizes = append([]int(nil), e.stats.BatchSizes...)
+	out.BatchSizes = nil
+	return out
+}
+
+// StatsSince returns a copy of the accumulated statistics whose BatchSizes
+// holds only the batches after the first from (nil when there are none).
+func (e *Executor) StatsSince(from int) Stats {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	out := e.stats
+	out.BatchSizes = nil
+	if from < len(e.stats.BatchSizes) {
+		out.BatchSizes = append([]int(nil), e.stats.BatchSizes[from:]...)
+	}
 	return out
 }
 

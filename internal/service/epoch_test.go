@@ -356,6 +356,69 @@ func TestEpochBumpDropsNormalization(t *testing.T) {
 	}
 }
 
+// TestEpochBumpDropsSessionTuples: a session's cached tuples belong to
+// the source version they were seen in. After a confirmed bump, a new
+// query in the same session must not seed its stream with pre-bump
+// tuples.
+func TestEpochBumpDropsSessionTuples(t *testing.T) {
+	ctx := context.Background()
+	db := newMutableDB("live", 300, 40)
+	srv, err := New(Config{
+		Sources: map[string]SourceConfig{
+			"live": {DB: db, Cache: &qcache.Config{}},
+		},
+		ChangeSentinels: 6,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	query := func(cookie *http.Cookie) ([]float64, *http.Cookie) {
+		t.Helper()
+		form := url.Values{"source": {"live"}, "rank": {"-price"}, "k": {"6"}}
+		req := httptest.NewRequest(http.MethodPost, "/api/query", strings.NewReader(form.Encode()))
+		req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
+		if cookie != nil {
+			req.AddCookie(cookie)
+		}
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("query returned %d: %s", rec.Code, rec.Body.String())
+		}
+		var doc queryDoc
+		if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
+			t.Fatal(err)
+		}
+		prices := make([]float64, len(doc.Rows))
+		for i, row := range doc.Rows {
+			prices[i] = row.Values["price"].(float64)
+		}
+		for _, c := range rec.Result().Cookies() {
+			if c.Name == SessionCookie {
+				cookie = c
+			}
+		}
+		return prices, cookie
+	}
+	got, cookie := query(nil)
+	if want := []float64{299, 298, 297, 296, 295, 294}; !slices.Equal(got, want) {
+		t.Fatalf("before the shift: top prices %v, want %v", got, want)
+	}
+	if cookie == nil {
+		t.Fatal("no session cookie")
+	}
+	if bumped, err := srv.ChangeProbe(ctx, "live"); err != nil || bumped {
+		t.Fatalf("baseline probe: bumped=%v err=%v", bumped, err)
+	}
+	db.version.Store(6) // every price +5
+	if bumped, err := srv.ChangeProbe(ctx, "live"); err != nil || !bumped {
+		t.Fatalf("probe over shifted source: bumped=%v err=%v", bumped, err)
+	}
+	if got, _ := query(cookie); !slices.Equal(got, []float64{304, 303, 302, 301, 300, 299}) {
+		t.Fatalf("same session after the shift: top prices %v, want 304…299", got)
+	}
+}
+
 // searchHook runs before on every Search of the wrapped database.
 type searchHook struct {
 	hidden.DB

@@ -423,11 +423,13 @@ func New(cfg Config) (*Server, error) {
 		src := &source{name: name, db: db, cache: cache, ix: ix, res: res, popular: sc.Popular}
 		// Any bump, scoped or not, can move an attribute's extreme, so the
 		// discovered normalisation goes with it and is rediscovered on the
-		// next query.
+		// next query. The sessions' cached tuples of the source are
+		// pre-bump values, which would seed new streams as candidates.
 		s.epochs.Subscribe(name, func(epoch.Epoch) {
 			src.normMu.Lock()
 			src.norm = nil
 			src.normMu.Unlock()
+			s.sessions.DropCachedTuples(name)
 		})
 		s.sources[name] = src
 	}

@@ -229,6 +229,18 @@ func (m *Manager) sweepLocked() int {
 	return dropped
 }
 
+// DropCachedTuples forgets every session's cached tuples of one source,
+// for when the source's data changed under them; cursors are kept.
+func (m *Manager) DropCachedTuples(source string) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, s := range m.sessions {
+		s.mu.Lock()
+		delete(s.cache, source)
+		s.mu.Unlock()
+	}
+}
+
 // Len returns the number of live sessions.
 func (m *Manager) Len() int {
 	m.mu.Lock()

@@ -203,3 +203,35 @@ func TestScopedCacheIsolatesSources(t *testing.T) {
 		t.Fatalf("default scope matched %d, want 1", got)
 	}
 }
+
+func TestDropCachedTuplesForgetsOneSourceInEverySession(t *testing.T) {
+	m := NewManager(0, 0)
+	var sessions []*Session
+	for i := 0; i < 3; i++ {
+		s, err := m.New()
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Scoped("diamonds").CacheTuples(relation.Tuple{ID: 1, Values: []float64{10}})
+		s.Scoped("homes").CacheTuples(relation.Tuple{ID: 2, Values: []float64{20}})
+		s.SetCursor("q", i)
+		sessions = append(sessions, s)
+	}
+	m.DropCachedTuples("diamonds")
+	for i, s := range sessions {
+		if got := len(s.Scoped("diamonds").CachedMatching(relation.Predicate{})); got != 0 {
+			t.Fatalf("session %d still holds %d diamonds tuples", i, got)
+		}
+		if got := len(s.Scoped("homes").CachedMatching(relation.Predicate{})); got != 1 {
+			t.Fatalf("session %d holds %d homes tuples, want 1", i, got)
+		}
+		if v, ok := s.Cursor("q"); !ok || v != i {
+			t.Fatalf("session %d cursor = %v, %v", i, v, ok)
+		}
+	}
+	// The source's scope refills as usual afterwards.
+	sessions[0].Scoped("diamonds").CacheTuples(relation.Tuple{ID: 3, Values: []float64{30}})
+	if got := sessions[0].CacheSize(); got != 2 {
+		t.Fatalf("CacheSize = %d, want 2", got)
+	}
+}
