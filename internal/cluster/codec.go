@@ -3,12 +3,12 @@ package cluster
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 
 	"repro/internal/hidden"
 	"repro/internal/obs"
 	"repro/internal/region"
 	"repro/internal/relation"
+	"repro/internal/wire"
 )
 
 // The peer protocol wire format. One TCP connection carries a stream
@@ -22,13 +22,14 @@ import (
 //	uint64 LE   request id (responses echo the request's id)
 //	payload     op-specific body
 //
-// Integers inside payloads are unsigned varints; float64s travel as
-// IEEE-754 bit patterns (8 bytes LE), so bounds round-trip exactly —
-// both ends derive the identical canonical cache key from the wire
-// predicate.
-// Strings and byte blobs are length-prefixed with a varint bounded by
-// the bytes remaining in the frame, so a hostile length prefix can
-// never force an over-allocation.
+// Integers inside payloads are unsigned varints; strings and byte blobs
+// are length-prefixed with a varint bounded by the bytes remaining in the
+// frame, so a hostile length prefix can never force an over-allocation.
+// Tuples, predicates and region scopes use internal/wire's layouts and
+// are decoded against the receiver's schema for the namespace. A
+// predicate travels length-prefixed as its canonical cache key, so both
+// ends derive the identical key and ring owner; a scope is a presence
+// byte followed by a wire rect.
 //
 // Op table (see doc.go "Peer protocol" for the full semantics):
 //
@@ -36,7 +37,7 @@ import (
 //	opHelloAck   2   server → client: negotiated version, self id
 //	opGet        3   residency lookup (ns, caller epoch+scope, predicate)
 //	opGetResp    4   found/overflow, owner epoch+scope, tuples, span subtree
-//	opPut        5   answer admission (ns, produced-under epoch+scope, tuples)
+//	opPut        5   answer admission (ns, produced-under epoch+scope, predicate, tuples)
 //	opPutResp    6   admission status (ok / stale-epoch / refused), subtree
 //	             7–10 retired: ring and obs pulls ride plain HTTP GET
 //	                 (/cluster/ring, /cluster/obs); a frame carrying one
@@ -66,9 +67,11 @@ const (
 	// protoMagic opens the hello payload; a server that reads anything
 	// else is talking to something that is not a QR2 peer.
 	protoMagic = "QR2P"
-	// protoV2 is this binary's protocol version — the only one there is;
-	// a hello or ack announcing anything below it fails the handshake.
-	protoV2 = 2
+	// protoVersion is this binary's protocol version — the only one it
+	// speaks; a hello or ack announcing anything below it fails the
+	// handshake, so replicas on different wire formats never exchange a
+	// frame.
+	protoVersion = 3
 	// frameHeaderLen is op + flags + request id.
 	frameHeaderLen = 1 + 1 + 8
 	// maxFrameLen bounds one frame (a batch of system-k answers with
@@ -95,9 +98,6 @@ type wireWriter struct {
 func (w *wireWriter) u8(v byte) { w.buf = append(w.buf, v) }
 func (w *wireWriter) uvarint(v uint64) {
 	w.buf = binary.AppendUvarint(w.buf, v)
-}
-func (w *wireWriter) f64(v float64) {
-	w.buf = binary.LittleEndian.AppendUint64(w.buf, math.Float64bits(v))
 }
 func (w *wireWriter) str(s string) {
 	w.uvarint(uint64(len(s)))
@@ -126,360 +126,29 @@ func (w *wireWriter) grow(n int) {
 	}
 }
 
-// wireReader consumes wire primitives from one frame payload. The first
-// failure latches err; every later read returns zero values, so decoders
-// can parse straight-line and check err once.
-type wireReader struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (r *wireReader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf(format, args...)
-	}
-}
-
-func (r *wireReader) remaining() int { return len(r.buf) - r.off }
-
-func (r *wireReader) u8() byte {
-	if r.err != nil {
-		return 0
-	}
-	if r.off >= len(r.buf) {
-		r.fail("cluster: truncated frame: u8 past end")
-		return 0
-	}
-	v := r.buf[r.off]
-	r.off++
-	return v
-}
-
-func (r *wireReader) bool() bool { return r.u8() != 0 }
-
-func (r *wireReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.buf[r.off:])
-	if n <= 0 {
-		r.fail("cluster: truncated frame: bad uvarint")
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *wireReader) f64() float64 {
-	if r.err != nil {
-		return 0
-	}
-	if r.remaining() < 8 {
-		r.fail("cluster: truncated frame: f64 past end")
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(r.buf[r.off:]))
-	r.off += 8
-	return v
-}
-
-// count reads a declared element count and rejects it unless at least
-// minBytes per element remain in the frame — the guard that makes a
-// hostile count die before any allocation sized by it.
-func (r *wireReader) count(what string, minBytes int) int {
-	n := r.uvarint()
-	if r.err != nil {
-		return 0
-	}
-	if minBytes < 1 {
-		minBytes = 1
-	}
-	if n > uint64(r.remaining()/minBytes) {
-		r.fail("cluster: frame declares %d %s in %d remaining bytes", n, what, r.remaining())
-		return 0
-	}
-	return int(n)
-}
-
-func (r *wireReader) str() string {
-	n := r.count("string bytes", 1)
-	if r.err != nil {
-		return ""
-	}
-	s := string(r.buf[r.off : r.off+n])
-	r.off += n
-	return s
-}
-
-func (r *wireReader) blob() []byte {
-	n := r.count("blob bytes", 1)
-	if r.err != nil {
-		return nil
-	}
-	b := r.buf[r.off : r.off+n]
-	r.off += n
-	return b
-}
-
-// finish reports the first decode error, or complains about trailing
-// bytes — a well-formed payload is consumed exactly.
-func (r *wireReader) finish() error {
-	if r.err != nil {
-		return r.err
-	}
-	if r.off != len(r.buf) {
-		return fmt.Errorf("cluster: %d trailing bytes after payload", len(r.buf)-r.off)
-	}
-	return nil
-}
-
-// --- predicate ---
-
-// appendPredicate encodes a predicate: condition count, then per
-// condition the attribute index, a kind byte, and either the interval
-// (bit-exact bounds + open flags) or the category set.
-func appendPredicate(w *wireWriter, p relation.Predicate) {
-	conds := p.Conditions()
-	w.uvarint(uint64(len(conds)))
-	for _, c := range conds {
-		w.uvarint(uint64(c.Attr))
-		if c.Cats != nil {
-			w.u8(1)
-			w.uvarint(uint64(len(c.Cats)))
-			for _, cat := range c.Cats {
-				w.uvarint(uint64(cat))
-			}
-			continue
-		}
-		w.u8(0)
-		w.f64(c.Iv.Lo)
-		w.f64(c.Iv.Hi)
-		var flags byte
-		if c.Iv.LoOpen {
-			flags |= 1
-		}
-		if c.Iv.HiOpen {
-			flags |= 2
-		}
-		w.u8(flags)
-	}
-}
-
-// decodePredicate reconstructs a predicate against the receiver's
-// schema. Attribute indexes are positional — both replicas front the
-// same source, so the schemas agree — but every index and category code
-// is validated against the local schema anyway: a version-skewed or
-// corrupt peer must produce an error, not a predicate that silently
-// means something else.
-func decodePredicate(r *wireReader, schema *relation.Schema) relation.Predicate {
-	n := r.count("conditions", 3)
-	p := relation.Predicate{}
-	for i := 0; i < n; i++ {
-		attr := r.uvarint()
-		kind := r.u8()
-		if r.err != nil {
-			return relation.Predicate{}
-		}
-		if attr >= uint64(schema.Len()) {
-			r.fail("cluster: predicate attribute %d outside schema (%d attrs)", attr, schema.Len())
-			return relation.Predicate{}
-		}
-		a := schema.Attr(int(attr))
-		if kind == 1 {
-			nc := r.count("categories", 1)
-			cats := make([]int, 0, nc)
-			for j := 0; j < nc; j++ {
-				code := r.uvarint()
-				if code >= uint64(len(a.Categories)) {
-					r.fail("cluster: category code %d outside %q (%d categories)", code, a.Name, len(a.Categories))
-					return relation.Predicate{}
-				}
-				cats = append(cats, int(code))
-			}
-			if r.err != nil {
-				return relation.Predicate{}
-			}
-			if a.Kind != relation.Categorical {
-				r.fail("cluster: categorical condition on numeric attribute %q", a.Name)
-				return relation.Predicate{}
-			}
-			p = p.WithCategories(int(attr), cats)
-			continue
-		}
-		iv := relation.Interval{Lo: r.f64(), Hi: r.f64()}
-		flags := r.u8()
-		iv.LoOpen = flags&1 != 0
-		iv.HiOpen = flags&2 != 0
-		if r.err != nil {
-			return relation.Predicate{}
-		}
-		if a.Kind != relation.Numeric {
-			r.fail("cluster: numeric condition on categorical attribute %q", a.Name)
-			return relation.Predicate{}
-		}
-		p = p.WithInterval(int(attr), iv)
-	}
-	return p
-}
-
-// --- tuples ---
-
-// appendTuples encodes an answer's tuple set: the value width (so the
-// decoder validates against its schema before allocating), the tuple
-// count, then per tuple the ID and the bit-exact values.
-func appendTuples(w *wireWriter, ts []relation.Tuple, width int) {
-	w.grow(20 + len(ts)*(10+8*width))
-	w.uvarint(uint64(width))
-	w.uvarint(uint64(len(ts)))
-	for _, t := range ts {
-		w.uvarint(uint64(t.ID))
-		for _, v := range t.Values {
-			w.f64(v)
-		}
-	}
-}
-
-// decodeTuples reconstructs a tuple set, requiring the wire width to
-// match the receiver's schema exactly.
-func decodeTuples(r *wireReader, schema *relation.Schema) []relation.Tuple {
-	width := r.uvarint()
-	if r.err != nil {
-		return nil
-	}
-	if width != uint64(schema.Len()) {
-		r.fail("cluster: wire tuples have %d values, schema has %d", width, schema.Len())
-		return nil
-	}
-	n := r.count("tuples", 1+8*int(width))
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	// One backing array for every tuple's values: n+1 allocations would
-	// otherwise dominate the per-entry decode cost on the hot forward path.
-	backing := make([]float64, n*int(width))
-	out := make([]relation.Tuple, 0, n)
-	for i := 0; i < n; i++ {
-		vals := backing[i*int(width) : (i+1)*int(width) : (i+1)*int(width)]
-		t := relation.Tuple{ID: int64(r.uvarint()), Values: vals}
-		for j := range vals {
-			vals[j] = r.f64()
-		}
-		if r.err != nil {
-			return nil
-		}
-		out = append(out, t)
-	}
-	return out
-}
-
 // --- region scope ---
 
-// rectDoc is the wire form of a region.Rect, in frames and in the JSON
-// /cluster/ring document alike. Interval bounds travel as IEEE-754 bit
-// patterns (uint64) because JSON cannot represent ±Inf; Flags packs the
-// open-endpoint bits (1 = LoOpen, 2 = HiOpen) per dimension. A peer that
-// cannot express or decode the rect simply drops it, and the adoption
-// falls back to a full wipe.
-type rectDoc struct {
-	Attrs []int    `json:"attrs"`
-	Lo    []uint64 `json:"lo"`
-	Hi    []uint64 `json:"hi"`
-	Flags []byte   `json:"flags,omitempty"`
-}
-
-// encodeRect serialises a rect for the wire.
-func encodeRect(r region.Rect) *rectDoc {
-	d := &rectDoc{
-		Attrs: append([]int(nil), r.Attrs...),
-		Lo:    make([]uint64, len(r.Ivs)),
-		Hi:    make([]uint64, len(r.Ivs)),
-		Flags: make([]byte, len(r.Ivs)),
-	}
-	for i, iv := range r.Ivs {
-		d.Lo[i] = math.Float64bits(iv.Lo)
-		d.Hi[i] = math.Float64bits(iv.Hi)
-		if iv.LoOpen {
-			d.Flags[i] |= 1
-		}
-		if iv.HiOpen {
-			d.Flags[i] |= 2
-		}
-	}
-	return d
-}
-
-// rect reconstructs the region, failing on malformed documents so the
-// caller can fall back to a full-wipe adoption.
-func (d *rectDoc) rect() (region.Rect, error) {
-	if d == nil || len(d.Attrs) != len(d.Lo) || len(d.Lo) != len(d.Hi) {
-		return region.Rect{}, fmt.Errorf("cluster: malformed rect document")
-	}
-	ivs := make([]relation.Interval, len(d.Attrs))
-	for i := range d.Attrs {
-		iv := relation.Interval{Lo: math.Float64frombits(d.Lo[i]), Hi: math.Float64frombits(d.Hi[i])}
-		if i < len(d.Flags) {
-			iv.LoOpen = d.Flags[i]&1 != 0
-			iv.HiOpen = d.Flags[i]&2 != 0
-		}
-		ivs[i] = iv
-	}
-	return region.New(d.Attrs, ivs)
-}
-
-// appendScope encodes an optional region rect (nil = unscoped). The
-// shape mirrors rectDoc: bit-pattern bounds, open-endpoint flags.
-func appendScope(w *wireWriter, sc *rectDoc) {
-	if sc == nil || len(sc.Attrs) != len(sc.Lo) || len(sc.Lo) != len(sc.Hi) {
-		w.u8(0)
-		return
-	}
-	w.u8(1)
-	w.uvarint(uint64(len(sc.Attrs)))
-	for i, a := range sc.Attrs {
-		w.uvarint(uint64(a))
-		w.buf = binary.LittleEndian.AppendUint64(w.buf, sc.Lo[i])
-		w.buf = binary.LittleEndian.AppendUint64(w.buf, sc.Hi[i])
-		var f byte
-		if i < len(sc.Flags) {
-			f = sc.Flags[i]
-		}
-		w.u8(f)
+// appendScope encodes an optional region scope (nil = unscoped): a
+// presence byte, then the wire rect.
+func appendScope(w *wireWriter, sc *region.Rect) {
+	w.bool(sc != nil)
+	if sc != nil {
+		w.buf = wire.AppendRect(w.buf, *sc)
 	}
 }
 
-// decodeScope reads an optional rect. A malformed scope fails the frame
-// (transport integrity); whether a *missing* scope means full wipe is
-// the adopter's business.
-func decodeScope(r *wireReader) *rectDoc {
-	if r.u8() == 0 || r.err != nil {
+// readScope reads an optional region scope. A malformed scope fails the
+// frame (transport integrity); whether a missing scope means a full wipe
+// is the adopter's business.
+func readScope(r *wire.Reader, schema *relation.Schema) *region.Rect {
+	if !r.Bool() {
 		return nil
 	}
-	n := r.count("scope dimensions", 18)
-	if r.err != nil {
+	sc := r.Rect(schema)
+	if r.Err() != nil {
 		return nil
 	}
-	d := &rectDoc{
-		Attrs: make([]int, n),
-		Lo:    make([]uint64, n),
-		Hi:    make([]uint64, n),
-		Flags: make([]byte, n),
-	}
-	for i := 0; i < n; i++ {
-		d.Attrs[i] = int(r.uvarint())
-		if r.remaining() < 16 {
-			r.fail("cluster: truncated scope bounds")
-			return nil
-		}
-		d.Lo[i] = binary.LittleEndian.Uint64(r.buf[r.off:])
-		d.Hi[i] = binary.LittleEndian.Uint64(r.buf[r.off+8:])
-		r.off += 16
-		d.Flags[i] = r.u8()
-	}
-	if r.err != nil {
-		return nil
-	}
-	return d
+	return &sc
 }
 
 // --- span subtree ---
@@ -515,27 +184,27 @@ func clampU64(v int64) uint64 {
 // decodeSubtree reads an optional span subtree. Out-of-range stages and
 // outcomes are not judged here — obs.Trace.Stitch already validates and
 // drops them, and keeping one validator avoids the two drifting.
-func decodeSubtree(r *wireReader) *obs.Subtree {
-	if r.u8() == 0 || r.err != nil {
+func decodeSubtree(r *wire.Reader) *obs.Subtree {
+	if !r.Bool() {
 		return nil
 	}
-	st := &obs.Subtree{Replica: r.str()}
-	n := r.count("spans", 7)
-	if r.err != nil {
+	st := &obs.Subtree{Replica: r.Str()}
+	n := r.Count("spans", 7)
+	if r.Err() != nil {
 		return nil
 	}
 	st.Spans = make([]obs.WireSpan, 0, n)
 	for i := 0; i < n; i++ {
 		sp := obs.WireSpan{
-			G: r.u8(),
-			O: r.u8(),
-			S: int64(r.uvarint()),
-			D: int64(r.uvarint()),
-			Q: int(r.uvarint()),
-			R: r.str(),
-			L: r.u8(),
+			G: r.U8(),
+			O: r.U8(),
+			S: int64(r.Uvarint()),
+			D: int64(r.Uvarint()),
+			Q: int(r.Uvarint()),
+			R: r.Str(),
+			L: r.U8(),
 		}
-		if r.err != nil {
+		if r.Err() != nil {
 			return nil
 		}
 		st.Spans = append(st.Spans, sp)
@@ -548,13 +217,14 @@ func decodeSubtree(r *wireReader) *obs.Subtree {
 // appendGetEntry encodes one residency lookup as it travels inside an
 // opGet payload (and as each length-prefixed entry of opBatchGet): the
 // namespace, the caller's epoch seq and its transition scope, whether
-// the caller wants the owner's span subtree, then the predicate.
-func appendGetEntry(w *wireWriter, ns string, seq uint64, scope *rectDoc, wantTrace bool, p relation.Predicate) {
+// the caller wants the owner's span subtree, then the predicate as its
+// canonical key.
+func appendGetEntry(w *wireWriter, ns string, seq uint64, scope *region.Rect, wantTrace bool, key string) {
 	w.str(ns)
 	w.uvarint(seq)
 	appendScope(w, scope)
 	w.bool(wantTrace)
-	appendPredicate(w, p)
+	w.str(key)
 }
 
 // getResponse is one lookup's answer as it travels inside opGetResp (and
@@ -563,7 +233,7 @@ type getResponse struct {
 	found    bool
 	overflow bool
 	eseq     uint64
-	scope    *rectDoc
+	scope    *region.Rect
 	tuples   []relation.Tuple
 	trace    *obs.Subtree
 }
@@ -575,22 +245,22 @@ func appendGetResponse(w *wireWriter, resp getResponse, width int) {
 	w.uvarint(resp.eseq)
 	appendScope(w, resp.scope)
 	if resp.found {
-		appendTuples(w, resp.tuples, width)
+		w.buf = wire.AppendTuples(w.buf, resp.tuples, width)
 	}
 	appendSubtree(w, resp.trace)
 }
 
 // decodeGetResponse decodes one lookup answer against the caller's
 // schema.
-func decodeGetResponse(r *wireReader, schema *relation.Schema) getResponse {
+func decodeGetResponse(r *wire.Reader, schema *relation.Schema) getResponse {
 	resp := getResponse{
-		found:    r.bool(),
-		overflow: r.bool(),
-		eseq:     r.uvarint(),
-		scope:    decodeScope(r),
+		found:    r.Bool(),
+		overflow: r.Bool(),
+		eseq:     r.Uvarint(),
+		scope:    readScope(r, schema),
 	}
 	if resp.found {
-		resp.tuples = decodeTuples(r, schema)
+		resp.tuples = r.Tuples(schema)
 	}
 	resp.trace = decodeSubtree(r)
 	return resp

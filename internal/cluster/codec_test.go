@@ -11,7 +11,10 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/qcache"
+	"repro/internal/region"
 	"repro/internal/relation"
+	"repro/internal/wire"
 )
 
 // codecSchema is the mixed fixture the codec tests decode against: one
@@ -37,10 +40,10 @@ func TestPredicateRoundTrip(t *testing.T) {
 	}
 	for i, p := range preds {
 		var w wireWriter
-		appendPredicate(&w, p)
-		rd := &wireReader{buf: w.buf}
-		got := decodePredicate(rd, s)
-		if err := rd.finish(); err != nil {
+		w.str(qcache.KeyOf(p))
+		rd := wire.NewReader(w.buf)
+		got := rd.Predicate(s)
+		if err := rd.Finish(); err != nil {
 			t.Fatalf("pred %d: %v", i, err)
 		}
 		if !reflect.DeepEqual(got.Conditions(), p.Conditions()) {
@@ -58,14 +61,34 @@ func TestPredicateBitExactBounds(t *testing.T) {
 	hi := math.Nextafter(0.3, 0)
 	p := relation.Predicate{}.WithInterval(0, relation.Closed(lo, hi))
 	var w wireWriter
-	appendPredicate(&w, p)
-	rd := &wireReader{buf: w.buf}
-	got := decodePredicate(rd, s)
+	w.str(qcache.KeyOf(p))
+	rd := wire.NewReader(w.buf)
+	got := rd.Predicate(s)
 	iv := got.Interval(0)
 	if math.Float64bits(iv.Lo) != math.Float64bits(lo) || math.Float64bits(iv.Hi) != math.Float64bits(hi) {
 		t.Fatalf("bounds drifted: got [%x, %x] want [%x, %x]",
 			math.Float64bits(iv.Lo), math.Float64bits(iv.Hi), math.Float64bits(lo), math.Float64bits(hi))
 	}
+}
+
+// numCond and catCond append one condition record of the canonical key
+// layout, whatever its validity.
+func numCond(b []byte, attr uint32, lo, hi float64, flags byte) []byte {
+	b = append(b, 'n')
+	b = binary.LittleEndian.AppendUint32(b, attr)
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(lo))
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(hi))
+	return append(b, flags)
+}
+
+func catCond(b []byte, attr uint32, codes ...uint32) []byte {
+	b = append(b, 'c')
+	b = binary.LittleEndian.AppendUint32(b, attr)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(codes)))
+	for _, c := range codes {
+		b = binary.LittleEndian.AppendUint32(b, c)
+	}
+	return b
 }
 
 func TestPredicateDecodeRejects(t *testing.T) {
@@ -75,51 +98,30 @@ func TestPredicateDecodeRejects(t *testing.T) {
 		build func(w *wireWriter)
 	}{
 		{"attr outside schema", func(w *wireWriter) {
-			w.uvarint(1) // one condition
-			w.uvarint(7) // attr 7 of 2
-			w.u8(0)
-			w.f64(1)
-			w.f64(2)
-			w.u8(0)
+			w.bytes(numCond(nil, 7, 1, 2, 0)) // attr 7 of 2
 		}},
 		{"numeric condition on categorical attr", func(w *wireWriter) {
-			w.uvarint(1)
-			w.uvarint(1) // "cut"
-			w.u8(0)
-			w.f64(1)
-			w.f64(2)
-			w.u8(0)
+			w.bytes(numCond(nil, 1, 1, 2, 0)) // "cut"
 		}},
 		{"categorical condition on numeric attr", func(w *wireWriter) {
-			w.uvarint(1)
-			w.uvarint(0) // "price"
-			w.u8(1)
-			w.uvarint(1)
-			w.uvarint(0)
+			w.bytes(catCond(nil, 0, 0)) // "price"
 		}},
 		{"category code outside domain", func(w *wireWriter) {
-			w.uvarint(1)
-			w.uvarint(1)
-			w.u8(1)
-			w.uvarint(1)
-			w.uvarint(9) // "cut" has 3 categories
+			w.bytes(catCond(nil, 1, 9)) // "cut" has 3 categories
 		}},
 		{"hostile condition count", func(w *wireWriter) {
 			w.uvarint(1 << 40)
 		}},
 		{"truncated interval", func(w *wireWriter) {
-			w.uvarint(1)
-			w.uvarint(0)
-			w.u8(0)
-			w.f64(1) // hi + flags missing
+			w.bytes(numCond(nil, 0, 1, 2, 0)[:13]) // hi + flags missing
 		}},
 	}
 	for _, tc := range cases {
 		var w wireWriter
 		tc.build(&w)
-		rd := &wireReader{buf: w.buf}
-		decodePredicate(rd, s)
-		if rd.err == nil {
+		rd := wire.NewReader(w.buf)
+		rd.Predicate(s)
+		if rd.Err() == nil {
 			t.Errorf("%s: decoded without error", tc.name)
 		}
 	}
@@ -131,11 +133,9 @@ func TestTuplesRoundTrip(t *testing.T) {
 		{ID: 1, Values: []float64{12.5, 0}},
 		{ID: 900000, Values: []float64{-3.25, 2}},
 	}
-	var w wireWriter
-	appendTuples(&w, ts, s.Len())
-	rd := &wireReader{buf: w.buf}
-	got := decodeTuples(rd, s)
-	if err := rd.finish(); err != nil {
+	rd := wire.NewReader(wire.AppendTuples(nil, ts, s.Len()))
+	got := rd.Tuples(s)
+	if err := rd.Finish(); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, ts) {
@@ -144,10 +144,8 @@ func TestTuplesRoundTrip(t *testing.T) {
 
 	// Width mismatch: a peer running a different schema must be rejected
 	// before any tuple is materialised.
-	var w2 wireWriter
-	appendTuples(&w2, []relation.Tuple{{ID: 1, Values: []float64{1, 2, 3}}}, 3)
-	rd = &wireReader{buf: w2.buf}
-	if decodeTuples(rd, s); rd.err == nil {
+	rd = wire.NewReader(wire.AppendTuples(nil, []relation.Tuple{{ID: 1, Values: []float64{1, 2, 3}}}, 3))
+	if rd.Tuples(s); rd.Err() == nil {
 		t.Fatal("3-wide tuples decoded against a 2-attr schema")
 	}
 
@@ -155,23 +153,27 @@ func TestTuplesRoundTrip(t *testing.T) {
 	var w3 wireWriter
 	w3.uvarint(uint64(s.Len()))
 	w3.uvarint(1 << 50)
-	rd = &wireReader{buf: w3.buf}
-	if decodeTuples(rd, s); rd.err == nil {
+	rd = wire.NewReader(w3.buf)
+	if rd.Tuples(s); rd.Err() == nil {
 		t.Fatal("hostile tuple count decoded without error")
 	}
 }
 
 func TestScopeRoundTrip(t *testing.T) {
-	for _, sc := range []*rectDoc{
+	s := codecSchema(t)
+	for _, sc := range []*region.Rect{
 		nil,
-		{Attrs: []int{0}, Lo: []uint64{math.Float64bits(1)}, Hi: []uint64{math.Float64bits(9)}, Flags: []byte{3}},
-		{Attrs: []int{0, 1}, Lo: []uint64{1, 2}, Hi: []uint64{3, 4}, Flags: []byte{0, 1}},
+		{Attrs: []int{0}, Ivs: []relation.Interval{{Lo: 1, Hi: 9, LoOpen: true, HiOpen: true}}},
+		{Attrs: []int{0, 1}, Ivs: []relation.Interval{ // denormal bounds survive bit-exact
+			{Lo: math.Float64frombits(1), Hi: math.Float64frombits(3)},
+			{Lo: math.Float64frombits(2), Hi: math.Float64frombits(4), LoOpen: true},
+		}},
 	} {
 		var w wireWriter
 		appendScope(&w, sc)
-		rd := &wireReader{buf: w.buf}
-		got := decodeScope(rd)
-		if err := rd.finish(); err != nil {
+		rd := wire.NewReader(w.buf)
+		got := readScope(rd, s)
+		if err := rd.Finish(); err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, sc) {
@@ -184,8 +186,8 @@ func TestScopeRoundTrip(t *testing.T) {
 	w.u8(1)
 	w.uvarint(2)
 	w.uvarint(0)
-	rd := &wireReader{buf: w.buf}
-	if decodeScope(rd); rd.err == nil {
+	rd := wire.NewReader(w.buf)
+	if readScope(rd, s); rd.Err() == nil {
 		t.Fatal("truncated scope decoded without error")
 	}
 }
@@ -197,9 +199,9 @@ func TestSubtreeRoundTrip(t *testing.T) {
 	}}
 	var w wireWriter
 	appendSubtree(&w, st)
-	rd := &wireReader{buf: w.buf}
+	rd := wire.NewReader(w.buf)
 	got := decodeSubtree(rd)
-	if err := rd.finish(); err != nil {
+	if err := rd.Finish(); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, st) {
@@ -210,7 +212,7 @@ func TestSubtreeRoundTrip(t *testing.T) {
 	for _, empty := range []*obs.Subtree{nil, {Replica: "x"}} {
 		var w2 wireWriter
 		appendSubtree(&w2, empty)
-		rd = &wireReader{buf: w2.buf}
+		rd = wire.NewReader(w2.buf)
 		if got := decodeSubtree(rd); got != nil {
 			t.Fatalf("empty subtree decoded as %+v", got)
 		}
@@ -223,7 +225,7 @@ func TestGetResponseRoundTrip(t *testing.T) {
 		{found: false, eseq: 7},
 		{
 			found: true, overflow: true, eseq: 42,
-			scope:  &rectDoc{Attrs: []int{0}, Lo: []uint64{1}, Hi: []uint64{2}, Flags: []byte{0}},
+			scope:  &region.Rect{Attrs: []int{0}, Ivs: []relation.Interval{relation.Closed(1, 2)}},
 			tuples: []relation.Tuple{{ID: 5, Values: []float64{1, 2}}},
 			trace:  &obs.Subtree{Replica: "b", Spans: []obs.WireSpan{{G: 1, O: 1, D: 10}}},
 		},
@@ -234,9 +236,9 @@ func TestGetResponseRoundTrip(t *testing.T) {
 	for i, resp := range resps {
 		var w wireWriter
 		appendGetResponse(&w, resp, s.Len())
-		rd := &wireReader{buf: w.buf}
+		rd := wire.NewReader(w.buf)
 		got := decodeGetResponse(rd, s)
-		if err := rd.finish(); err != nil {
+		if err := rd.Finish(); err != nil {
 			t.Fatalf("resp %d: %v", i, err)
 		}
 		if !reflect.DeepEqual(got, resp) {
@@ -283,13 +285,13 @@ func TestFrameLayerRejects(t *testing.T) {
 	if err := read(short); err == nil {
 		t.Fatal("truncated body accepted")
 	}
-	// Trailing garbage after a payload fails finish().
+	// Trailing garbage after a payload fails Finish().
 	var w wireWriter
 	w.bool(true)
 	w.u8(99)
-	rd := &wireReader{buf: w.buf}
-	rd.bool()
-	if err := rd.finish(); err == nil {
+	rd := wire.NewReader(w.buf)
+	rd.Bool()
+	if err := rd.Finish(); err == nil {
 		t.Fatal("trailing bytes accepted")
 	}
 }

@@ -47,6 +47,16 @@
 // payload before allocation, so a hostile length can't balloon memory
 // (fuzz_test.go holds the corpus).
 //
+// Inside payloads, tuples, predicates and scope rects use the one binary
+// codec of internal/wire, which the dense index and the answer cache's
+// persisted records use too. The receiver decodes them against its own
+// schema for the namespace and accepts only canonical bytes: a tuple
+// width other than the schema's, an attribute or category code outside
+// it, a condition of the wrong kind or a non-canonical predicate fails
+// the request with a 4xx. A predicate travels as its canonical cache key
+// (length-prefixed), which the sender has already computed to find the
+// owner, so both ends key and route the answer identically.
+//
 // The control plane — GET /cluster/ring (membership, health, per-source
 // epochs with their scopes), GET /cluster/obs (the mergeable metrics
 // snapshot) and GET /healthz — is plain JSON over HTTP, readable with
@@ -56,7 +66,8 @@
 // Session: the dialer sends an HTTP Upgrade (token "qr2-peer/2") to the
 // peer's one listen address; the peer hijacks the connection, answers
 // 101 and both sides exchange hello frames that pin the magic and the
-// version. Each peer gets a small connection pool (Config.PeerConns,
+// version (protoVersion, now 3 — a replica on an older payload format
+// fails the handshake rather than a request). Each peer gets a small connection pool (Config.PeerConns,
 // default DefaultPeerConns); request ids multiplex concurrent RPCs over
 // one connection and responses return out of order.
 //

@@ -12,7 +12,9 @@ import (
 
 	"repro/internal/hidden"
 	"repro/internal/qcache"
+	"repro/internal/region"
 	"repro/internal/relation"
+	"repro/internal/wire"
 )
 
 // fuzzNode builds one standalone node with a registered mixed-schema
@@ -50,7 +52,8 @@ func fuzzNode(tb testing.TB) (*Node, *relation.Schema) {
 // promise more elements than the frame can hold.
 func fuzzSeeds() [][]byte {
 	pred := relation.Predicate{}.WithInterval(0, relation.Closed(10, 20)).WithCategories(1, []int{0, 2})
-	scope := &rectDoc{Attrs: []int{0}, Lo: []uint64{1}, Hi: []uint64{2}, Flags: []byte{1}}
+	key := qcache.KeyOf(pred)
+	scope := &region.Rect{Attrs: []int{0}, Ivs: []relation.Interval{relation.OpenLo(1, 2)}}
 
 	frameOf := func(op byte, id uint64, body func(w *wireWriter)) []byte {
 		var w wireWriter
@@ -61,7 +64,7 @@ func fuzzSeeds() [][]byte {
 	}
 	entry := func() []byte {
 		var e wireWriter
-		appendGetEntry(&e, "gems", 3, scope, true, pred)
+		appendGetEntry(&e, "gems", 3, scope, true, key)
 		return e.buf
 	}
 
@@ -80,8 +83,8 @@ func fuzzSeeds() [][]byte {
 			appendScope(w, scope)
 			w.bool(true)
 			w.bool(false)
-			appendPredicate(w, pred)
-			appendTuples(w, []relation.Tuple{{ID: 9, Values: []float64{5, 1}}}, 2)
+			w.str(key)
+			w.buf = wire.AppendTuples(w.buf, []relation.Tuple{{ID: 9, Values: []float64{5, 1}}}, 2)
 		}),
 		// Retired ops 7 (ring pull) and 9 (obs pull): unknown to the server
 		// now, so they must draw an opErr, not a panic or a dead stream.
@@ -89,7 +92,7 @@ func fuzzSeeds() [][]byte {
 		frameOf(9, 5, func(w *wireWriter) {}),
 		frameOf(opHello, 6, func(w *wireWriter) {
 			w.str(protoMagic)
-			w.uvarint(protoV2)
+			w.uvarint(protoVersion)
 			w.str("a")
 		}),
 		// Well-formed client-bound frames (exercise the response decoders).
@@ -156,11 +159,9 @@ func FuzzV2Frames(f *testing.F) {
 				}
 				// Client-side response decoders must hold the same
 				// no-panic line against arbitrary payloads.
-				rd := &wireReader{buf: fr.payload}
-				decodeGetResponse(rd, schema)
+				decodeGetResponse(wire.NewReader(fr.payload), schema)
 				decodeWireErr(fr.payload)
-				rd = &wireReader{buf: fr.payload}
-				decodeSubtree(rd)
+				decodeSubtree(wire.NewReader(fr.payload))
 			}
 		}
 	})

@@ -16,9 +16,11 @@ import (
 	"repro/internal/hidden"
 	"repro/internal/obs"
 	"repro/internal/qcache"
+	"repro/internal/region"
 	"repro/internal/relation"
 	"repro/internal/resilience"
 	"repro/internal/wdbhttp"
+	"repro/internal/wire"
 )
 
 // Config describes one replica's membership in the cluster.
@@ -314,11 +316,7 @@ func (n *Node) Gossip(ctx context.Context) {
 			continue // gossip is opportunistic; the health prober owns indictment
 		}
 		for src, seq := range doc.Epochs {
-			var sc *rectDoc
-			if d, ok := doc.Scopes[src]; ok {
-				sc = &d
-			}
-			n.observeScoped(src, seq, sc)
+			n.observeScoped(src, seq, n.ringScope(src, doc.Scopes[src]))
 		}
 	}
 }
@@ -331,9 +329,26 @@ type ringDoc struct {
 	// Epochs maps each registered source to this replica's epoch seq —
 	// the gossip payload peers pull to converge on bumps. Scopes carries,
 	// for sources whose latest transition was region-confined, the rect
-	// it was confined to; absent entries adopt as full wipes.
-	Epochs map[string]uint64  `json:"epochs,omitempty"`
-	Scopes map[string]rectDoc `json:"scopes,omitempty"`
+	// it was confined to in internal/wire's rect layout (base64 in the
+	// JSON); absent entries adopt as full wipes.
+	Epochs map[string]uint64 `json:"epochs,omitempty"`
+	Scopes map[string][]byte `json:"scopes,omitempty"`
+}
+
+// ringScope decodes a /cluster/ring scope against the local schema of
+// source src. It is nil when absent, undecodable, or for a source this
+// replica does not serve; the adoption then falls back to a full wipe.
+func (n *Node) ringScope(src string, b []byte) *region.Rect {
+	cs, ok := n.source(src)
+	if b == nil || !ok {
+		return nil
+	}
+	r := wire.NewReader(b)
+	sc := r.Rect(cs.Schema())
+	if r.Finish() != nil {
+		return nil
+	}
+	return &sc
 }
 
 func (n *Node) handleRing(w http.ResponseWriter, r *http.Request) {
@@ -351,9 +366,9 @@ func (n *Node) handleRing(w http.ResponseWriter, r *http.Request) {
 			doc.Epochs[name] = seq
 			if scope != nil {
 				if doc.Scopes == nil {
-					doc.Scopes = make(map[string]rectDoc)
+					doc.Scopes = make(map[string][]byte)
 				}
-				doc.Scopes[name] = *scope
+				doc.Scopes[name] = wire.AppendRect(nil, *scope)
 			}
 		}
 		n.mu.Unlock()
@@ -408,31 +423,29 @@ func (n *Node) observe(ns string, seq uint64) {
 }
 
 // observeScoped is observe carrying the region the sender's transition
-// into seq was confined to. A decodable scope adopts via ObserveRegion,
-// whose subscribers wipe only the intersecting slice (the registry
-// itself escalates to a full wipe when the adoption skips seqs); a nil
-// or malformed scope falls back to the full-wipe observe — the peer
-// could not express the region, so everything must go.
-func (n *Node) observeScoped(ns string, seq uint64, sc *rectDoc) {
+// into seq was confined to. A scope adopts via ObserveRegion, whose
+// subscribers wipe only the intersecting slice (the registry itself
+// escalates to a full wipe when the adoption skips seqs); a nil scope
+// falls back to the full-wipe observe — the peer could not express the
+// region, so everything must go.
+func (n *Node) observeScoped(ns string, seq uint64, sc *region.Rect) {
 	if n.epochs == nil || seq == 0 {
 		return
 	}
 	if sc != nil {
-		if rect, err := sc.rect(); err == nil {
-			if n.epochs.ObserveRegion(ns, seq, rect) {
-				n.epochAdopts.Add(1)
-			}
-			return
+		if n.epochs.ObserveRegion(ns, seq, *sc) {
+			n.epochAdopts.Add(1)
 		}
+		return
 	}
 	n.observe(ns, seq)
 }
 
 // epochOf reads a source's live epoch seq and, when its latest
-// transition was region-confined, the wire form of that region. Both
-// come from one registry snapshot, so the scope always describes the
-// transition into exactly the returned seq.
-func (n *Node) epochOf(ns string) (uint64, *rectDoc) {
+// transition was region-confined, that region. Both come from one
+// registry snapshot, so the scope always describes the transition into
+// exactly the returned seq.
+func (n *Node) epochOf(ns string) (uint64, *region.Rect) {
 	if n.epochs == nil {
 		return 0, nil
 	}
@@ -440,16 +453,13 @@ func (n *Node) epochOf(ns string) (uint64, *rectDoc) {
 	if !ok {
 		return 0, nil
 	}
-	if e.Scope == nil {
-		return e.Seq, nil
-	}
-	return e.Seq, encodeRect(*e.Scope)
+	return e.Seq, e.Scope
 }
 
-// scopeAt returns the wire form of the live transition's region only
-// when seq is still the live epoch — the scope describes the transition
-// into that exact seq and must not be attached to any other.
-func (n *Node) scopeAt(ns string, seq uint64) *rectDoc {
+// scopeAt returns the live transition's region only when seq is still
+// the live epoch — the scope describes the transition into that exact
+// seq and must not be attached to any other.
+func (n *Node) scopeAt(ns string, seq uint64) *region.Rect {
 	cur, sc := n.epochOf(ns)
 	if cur != seq {
 		return nil
@@ -600,7 +610,7 @@ func (n *Node) rehome(id string) {
 			n.dropStray(k) // aged out on its own; nothing to move
 			continue
 		}
-		if err := n.put(context.Background(), owner, k.ns, cs.Schema(), pred, res, seq); err != nil {
+		if err := n.put(context.Background(), owner, k.ns, cs.Schema(), k.key, res, seq); err != nil {
 			if isPeerDown(err) {
 				n.health.markDead(owner)
 				return // the peer died again; keep the remaining strays
@@ -711,7 +721,7 @@ func (s *clusterSource) Search(ctx context.Context, p relation.Predicate) (hidde
 		n.flights[fkey] = fl
 		n.mu.Unlock()
 
-		res, err := s.searchForeign(ctx, owner, p)
+		res, err := s.searchForeign(ctx, owner, key, p)
 		fl.res, fl.err = res, err
 		n.mu.Lock()
 		delete(n.flights, fkey)
@@ -731,8 +741,9 @@ func (s *clusterSource) Search(ctx context.Context, p relation.Predicate) (hidde
 }
 
 // searchForeign is the leader's path for a foreign-owned key: proxy the
-// lookup, fall back on peer failure, pay-and-push on an owner miss.
-func (s *clusterSource) searchForeign(ctx context.Context, owner string, p relation.Predicate) (hidden.Result, error) {
+// lookup, fall back on peer failure, pay-and-push on an owner miss. key
+// is p's canonical cache key, computed once for routing.
+func (s *clusterSource) searchForeign(ctx context.Context, owner, key string, p relation.Predicate) (hidden.Result, error) {
 	n := s.node
 	n.forwards.Add(1)
 	// The epoch this search runs under is captured before any network
@@ -741,7 +752,7 @@ func (s *clusterSource) searchForeign(ctx context.Context, owner string, p relat
 	// (possibly pre-change) answer instead of installing it.
 	seq := n.seqOf(s.name)
 	tmF := obs.FromContext(ctx).Start(obs.StagePeerForward)
-	res, found, err := n.remoteGet(ctx, owner, s.name, s.Schema(), p, seq)
+	res, found, err := n.remoteGet(ctx, owner, s.name, s.Schema(), key, seq)
 	if err != nil {
 		tmF.End(obs.OutcomeError)
 		if isContextErr(err) && ctx.Err() != nil {
@@ -759,7 +770,7 @@ func (s *clusterSource) searchForeign(ctx context.Context, owner string, p relat
 		if err == nil && !res.Degraded {
 			// The answer was admitted locally although owner owns the
 			// key: track it for re-homing when the owner recovers.
-			n.noteStray(s.name, qcache.KeyOf(p), p)
+			n.noteStray(s.name, key, p)
 		}
 		return res, err
 	}
@@ -778,7 +789,7 @@ func (s *clusterSource) searchForeign(ctx context.Context, owner string, p relat
 	// served to this request only — pushing it to the owner would spread
 	// the fabrication cluster-wide.
 	if !res.Degraded {
-		n.asyncAdmit(owner, s.name, s.Schema(), p, copyTuples(res), seq)
+		n.asyncAdmit(owner, s.name, s.Schema(), key, copyTuples(res), seq)
 	}
 	return res, nil
 }

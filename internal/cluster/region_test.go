@@ -9,42 +9,46 @@ import (
 
 	"repro/internal/region"
 	"repro/internal/relation"
+	"repro/internal/wire"
 )
 
 func farRect() region.Rect {
 	return region.MustNew([]int{0}, []relation.Interval{relation.Closed(90000, 90001)})
 }
 
-// TestRectDocRoundTrip: the wire form survives JSON including open
-// endpoints and infinite bounds (which JSON numbers cannot carry — hence
-// the Float64bits encoding).
-func TestRectDocRoundTrip(t *testing.T) {
+// TestRingScopeRoundTrip: the /cluster/ring scope survives JSON
+// including open endpoints and infinite bounds (which JSON numbers cannot
+// carry — hence the wire rect bytes, base64 in the document).
+func TestRingScopeRoundTrip(t *testing.T) {
+	reps, _ := epochCluster(t, 1)
+	n, name := reps[0].node, reps[0].inner.Name()
 	r := region.MustNew(
-		[]int{0, 3},
+		[]int{0, 1},
 		[]relation.Interval{
 			{Lo: math.Inf(-1), Hi: 12.5, HiOpen: true},
 			{Lo: -4, Hi: math.Inf(1), LoOpen: true},
 		},
 	)
-	b, err := json.Marshal(encodeRect(r))
+	b, err := json.Marshal(ringDoc{Scopes: map[string][]byte{name: wire.AppendRect(nil, r)}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var d rectDoc
+	var d ringDoc
 	if err := json.Unmarshal(b, &d); err != nil {
 		t.Fatal(err)
 	}
-	back, err := d.rect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(back, r) {
+	back := n.ringScope(name, d.Scopes[name])
+	if back == nil || !reflect.DeepEqual(*back, r) {
 		t.Fatalf("round trip: got %+v, want %+v", back, r)
 	}
-	// A malformed wire scope fails to decode — the adopter then falls
-	// back to a full wipe — never a panic or a wipe of the wrong region.
-	if _, err := (&rectDoc{Attrs: []int{0, 1}, Lo: []uint64{0}}).rect(); err == nil {
-		t.Fatal("mismatched rectDoc lengths decoded")
+	// A malformed scope fails to decode — the adopter then falls back to
+	// a full wipe — never a panic or a wipe of the wrong region.
+	bad := wire.AppendRect(nil, r)
+	if n.ringScope(name, bad[:len(bad)-8]) != nil {
+		t.Fatal("truncated ring scope decoded")
+	}
+	if n.ringScope("no-such-source", wire.AppendRect(nil, r)) != nil {
+		t.Fatal("scope decoded for a source this replica does not serve")
 	}
 }
 

@@ -14,6 +14,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // The client half of the peer protocol (see codec.go for the wire format
@@ -376,7 +378,7 @@ func (pt *peerTransport) connect(ctx context.Context) (_ *peerConn, err error) {
 	var w wireWriter
 	start := beginFrame(&w, opHello, 0, 0)
 	w.str(protoMagic)
-	w.uvarint(protoV2)
+	w.uvarint(protoVersion)
 	w.str(t.node.self)
 	endFrame(&w, start)
 	if _, err := c.Write(w.buf); err != nil {
@@ -389,11 +391,11 @@ func (pt *peerTransport) connect(ctx context.Context) (_ *peerConn, err error) {
 	if f.op != opHelloAck {
 		return nil, fmt.Errorf("cluster: handshake got op %d, want helloAck", f.op)
 	}
-	ar := &wireReader{buf: f.payload}
-	version := ar.uvarint()
-	ar.str() // peer's self id; informational
-	if ar.err != nil || version < protoV2 {
-		return nil, fmt.Errorf("cluster: %s acked protocol version %d, want %d", pt.id, version, protoV2)
+	ar := wire.NewReader(f.payload)
+	version := ar.Uvarint()
+	ar.Str() // peer's self id; informational
+	if ar.Err() != nil || version < protoVersion {
+		return nil, fmt.Errorf("cluster: %s acked protocol version %d, want %d", pt.id, version, protoVersion)
 	}
 	_ = c.SetDeadline(time.Time{})
 	pc := &peerConn{pt: pt, c: c, pending: make(map[uint64]*pcall)}
@@ -575,18 +577,18 @@ func deliverBatch(batch []*batchCall, f frame) {
 		failBatch(batch, &transportError{err: fmt.Errorf("cluster: batch answered with op %d", f.op)})
 		return
 	}
-	r := &wireReader{buf: f.payload}
-	n := r.count("batch entries", 2)
-	if r.err != nil || n != len(batch) {
+	r := wire.NewReader(f.payload)
+	n := r.Count("batch entries", 2)
+	if r.Err() != nil || n != len(batch) {
 		failBatch(batch, &transportError{err: fmt.Errorf("cluster: batch of %d answered with %d entries", len(batch), n)})
 		return
 	}
 	for i := 0; i < n; i++ {
-		status := r.u8()
-		blob := r.blob()
-		if r.err != nil {
+		status := r.U8()
+		blob := r.Blob()
+		if r.Err() != nil {
 			for _, bc := range batch[i:] {
-				bc.ch <- pcallResult{err: &transportError{err: r.err}}
+				bc.ch <- pcallResult{err: &transportError{err: r.Err()}}
 			}
 			return
 		}
@@ -600,11 +602,11 @@ func deliverBatch(batch []*batchCall, f frame) {
 
 // decodeWireErr decodes an opErr payload (code + message).
 func decodeWireErr(payload []byte) error {
-	r := &wireReader{buf: payload}
-	code := r.uvarint()
-	msg := r.str()
-	if r.err != nil {
-		return &transportError{err: fmt.Errorf("cluster: malformed error frame: %w", r.err)}
+	r := wire.NewReader(payload)
+	code := r.Uvarint()
+	msg := r.Str()
+	if r.Err() != nil {
+		return &transportError{err: fmt.Errorf("cluster: malformed error frame: %w", r.Err())}
 	}
 	return &wireError{code: int(code), msg: msg}
 }

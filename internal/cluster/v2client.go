@@ -11,6 +11,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/relation"
 	"repro/internal/resilience"
+	"repro/internal/wire"
 )
 
 // Typed client RPCs over the peer protocol, and the failure ladder every
@@ -67,9 +68,9 @@ func mapWireErr(op, owner string, err error) error {
 // data from a post-change cache. Failures the retry policy's RetryIf
 // accepts (peer-indicting by default) are retried per Config.Retry; a
 // lookup is idempotent, so replaying it is always safe.
-func (n *Node) remoteGet(ctx context.Context, owner, ns string, schema *relation.Schema, p relation.Predicate, seq uint64) (res hidden.Result, found bool, err error) {
+func (n *Node) remoteGet(ctx context.Context, owner, ns string, schema *relation.Schema, key string, seq uint64) (res hidden.Result, found bool, err error) {
 	err = resilience.Do(ctx, n.retry, func(ctx context.Context) error {
-		res, found, err = n.getOnce(ctx, owner, ns, schema, p, seq)
+		res, found, err = n.getOnce(ctx, owner, ns, schema, key, seq)
 		return err
 	})
 	return res, found, err
@@ -77,8 +78,9 @@ func (n *Node) remoteGet(ctx context.Context, owner, ns string, schema *relation
 
 // getOnce performs one forwarded residency lookup, going through the
 // owner's batcher so a burst of foreign lookups to the same peer
-// coalesces into one frame.
-func (n *Node) getOnce(ctx context.Context, owner, ns string, schema *relation.Schema, p relation.Predicate, seq uint64) (hidden.Result, bool, error) {
+// coalesces into one frame. key is the predicate's canonical cache key,
+// already computed for routing; it travels as the predicate.
+func (n *Node) getOnce(ctx context.Context, owner, ns string, schema *relation.Schema, key string, seq uint64) (hidden.Result, bool, error) {
 	pt := n.transport.peers[owner]
 	tr := obs.FromContext(ctx)
 	eb, _ := entryBufs.Get().(*[]byte)
@@ -87,7 +89,7 @@ func (n *Node) getOnce(ctx context.Context, owner, ns string, schema *relation.S
 		*eb = make([]byte, 0, 192)
 	}
 	w := wireWriter{buf: (*eb)[:0]}
-	appendGetEntry(&w, ns, seq, n.scopeAt(ns, seq), tr != nil, p)
+	appendGetEntry(&w, ns, seq, n.scopeAt(ns, seq), tr != nil, key)
 	var began time.Time
 	if tr != nil {
 		began = time.Now()
@@ -108,9 +110,9 @@ func (n *Node) getOnce(ctx context.Context, owner, ns string, schema *relation.S
 	// and the buffer can be recycled.
 	*eb = w.buf[:0]
 	entryBufs.Put(eb)
-	rd := &wireReader{buf: r.payload}
+	rd := wire.NewReader(r.payload)
 	resp := decodeGetResponse(rd, schema)
-	if derr := rd.finish(); derr != nil {
+	if derr := rd.Finish(); derr != nil {
 		return hidden.Result{}, false, &peerDownError{err: fmt.Errorf("cluster: decode get from %s: %w", owner, derr)}
 	}
 	tr.Stitch(resp.trace, began)
@@ -132,17 +134,17 @@ func (n *Node) getOnce(ctx context.Context, owner, ns string, schema *relation.S
 // epoch seq it was produced under. Peer-indicting failures are retried
 // per Config.Retry — an admission is idempotent (the cache keys on the
 // predicate), so a replay after an ambiguous failure at worst re-admits
-// the same entry.
-func (n *Node) put(ctx context.Context, owner, ns string, schema *relation.Schema, p relation.Predicate, res hidden.Result, seq uint64) error {
+// the same entry. key is the answer's canonical cache key.
+func (n *Node) put(ctx context.Context, owner, ns string, schema *relation.Schema, key string, res hidden.Result, seq uint64) error {
 	return resilience.Do(ctx, n.retry, func(ctx context.Context) error {
-		return n.putOnce(ctx, owner, ns, schema, p, res, seq)
+		return n.putOnce(ctx, owner, ns, schema, key, res, seq)
 	})
 }
 
 // putOnce is one admission attempt. The response's status carries the
 // admission verdict: stale-epoch and refused map to plain errors —
 // final, never indicting.
-func (n *Node) putOnce(ctx context.Context, owner, ns string, schema *relation.Schema, p relation.Predicate, res hidden.Result, seq uint64) error {
+func (n *Node) putOnce(ctx context.Context, owner, ns string, schema *relation.Schema, key string, res hidden.Result, seq uint64) error {
 	pt := n.transport.peers[owner]
 	tr := obs.FromContext(ctx)
 	began := time.Now()
@@ -156,8 +158,8 @@ func (n *Node) putOnce(ctx context.Context, owner, ns string, schema *relation.S
 		appendScope(w, n.scopeAt(ns, seq))
 		w.bool(tr != nil)
 		w.bool(res.Overflow)
-		appendPredicate(w, p)
-		appendTuples(w, res.Tuples, schema.Len())
+		w.str(key)
+		w.buf = wire.AppendTuples(w.buf, res.Tuples, schema.Len())
 	}
 	r, err := pt.roundTrip(ctx, opPut, body)
 	if err != nil && isConnLost(err) {
@@ -169,11 +171,11 @@ func (n *Node) putOnce(ctx context.Context, owner, ns string, schema *relation.S
 	if r.op != opPutResp {
 		return &peerDownError{err: fmt.Errorf("cluster: put to %s answered op %d", owner, r.op)}
 	}
-	rd := &wireReader{buf: r.payload}
-	status := rd.u8()
-	msg := rd.str()
+	rd := wire.NewReader(r.payload)
+	status := rd.U8()
+	msg := rd.Str()
 	st := decodeSubtree(rd)
-	if derr := rd.finish(); derr != nil {
+	if derr := rd.Finish(); derr != nil {
 		return &peerDownError{err: fmt.Errorf("cluster: decode put from %s: %w", owner, derr)}
 	}
 	tr.Stitch(st, began)
@@ -193,12 +195,12 @@ func (n *Node) putOnce(ctx context.Context, owner, ns string, schema *relation.S
 // the owner rejects as stale-epoch — costs at most one repeated
 // web-database query later, never correctness. Quiesce waits for
 // outstanding pushes.
-func (n *Node) asyncAdmit(owner, ns string, schema *relation.Schema, p relation.Predicate, res hidden.Result, seq uint64) {
+func (n *Node) asyncAdmit(owner, ns string, schema *relation.Schema, key string, res hidden.Result, seq uint64) {
 	n.admits.Add(1)
 	go func() {
 		defer n.admits.Done()
 		n.admitsSent.Add(1)
-		if err := n.put(context.Background(), owner, ns, schema, p, res, seq); err != nil {
+		if err := n.put(context.Background(), owner, ns, schema, key, res, seq); err != nil {
 			n.admitErrors.Add(1)
 			if isPeerDown(err) {
 				n.health.markDead(owner)

@@ -10,7 +10,9 @@ import (
 	"repro/internal/hidden"
 	"repro/internal/obs"
 	"repro/internal/qcache"
+	"repro/internal/region"
 	"repro/internal/relation"
+	"repro/internal/wire"
 )
 
 // The server half of the peer protocol. A peer opens a session by
@@ -73,21 +75,21 @@ func (n *Node) handleV2(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Handshake: the magic pins "this really is a QR2 peer"; the ack
-	// always says 2, the one version there is.
+	// always names protoVersion, the one version this binary speaks.
 	f, err := readFrame(rw.Reader)
 	if err != nil || f.op != opHello {
 		return
 	}
-	hr := &wireReader{buf: f.payload}
-	magic := hr.str()
-	version := hr.uvarint()
-	hr.str() // peer's self id; informational
-	if hr.err != nil || magic != protoMagic || version < protoV2 {
+	hr := wire.NewReader(f.payload)
+	magic := hr.Str()
+	version := hr.Uvarint()
+	hr.Str() // peer's self id; informational
+	if hr.Err() != nil || magic != protoMagic || version < protoVersion {
 		return
 	}
 	var ack wireWriter
 	start := beginFrame(&ack, opHelloAck, 0, f.id)
-	ack.uvarint(protoV2)
+	ack.uvarint(protoVersion)
 	ack.str(n.self)
 	endFrame(&ack, start)
 	if _, err := conn.Write(ack.buf); err != nil {
@@ -154,20 +156,20 @@ func (n *Node) v2Serve(f frame, scratch []byte) []byte {
 // maps to an opErr frame or a batch-entry error status.
 func (n *Node) v2Lookup(payload []byte) (getResponse, int, *wireError) {
 	n.peerGets.Add(1)
-	rd := &wireReader{buf: payload}
-	ns := rd.str()
-	eseq := rd.uvarint()
-	scope := decodeScope(rd)
-	wantTrace := rd.bool()
-	if rd.err != nil {
-		return getResponse{}, 0, &wireError{code: http.StatusBadRequest, msg: rd.err.Error()}
+	rd := wire.NewReader(payload)
+	ns := rd.Str()
+	if rd.Err() != nil {
+		return getResponse{}, 0, &wireError{code: http.StatusBadRequest, msg: rd.Err().Error()}
 	}
 	cs, ok := n.source(ns)
 	if !ok {
 		return getResponse{}, 0, &wireError{code: http.StatusNotFound, msg: fmt.Sprintf("unknown namespace %q", ns)}
 	}
-	pred := decodePredicate(rd, cs.Schema())
-	if err := rd.finish(); err != nil {
+	eseq := rd.Uvarint()
+	scope := readScope(rd, cs.Schema())
+	wantTrace := rd.Bool()
+	pred := rd.Predicate(cs.Schema())
+	if err := rd.Finish(); err != nil {
 		return getResponse{}, 0, &wireError{code: http.StatusBadRequest, msg: err.Error()}
 	}
 	n.observeScoped(ns, eseq, scope)
@@ -217,16 +219,16 @@ func (n *Node) v2ServeGet(f frame, scratch []byte) []byte {
 // travels back positionally, so one unknown namespace in a coalesced
 // burst fails only its own caller.
 func (n *Node) v2ServeBatch(f frame, scratch []byte) []byte {
-	rd := &wireReader{buf: f.payload}
-	cnt := rd.count("batch entries", 2)
-	if rd.err == nil && cnt > maxBatchWire {
-		rd.fail("cluster: batch of %d exceeds cap %d", cnt, maxBatchWire)
+	rd := wire.NewReader(f.payload)
+	cnt := rd.Count("batch entries", 2)
+	if cnt > maxBatchWire {
+		rd.Fail("cluster: batch of %d exceeds cap %d", cnt, maxBatchWire)
 	}
 	entries := make([][]byte, 0, cnt)
-	for i := 0; i < cnt && rd.err == nil; i++ {
-		entries = append(entries, rd.blob())
+	for i := 0; i < cnt && rd.Err() == nil; i++ {
+		entries = append(entries, rd.Blob())
 	}
-	if err := rd.finish(); err != nil {
+	if err := rd.Finish(); err != nil {
 		var w wireWriter
 		appendErrFrame(&w, f.id, http.StatusBadRequest, err.Error())
 		return w.buf
@@ -257,14 +259,10 @@ func (n *Node) v2ServeBatch(f frame, scratch []byte) []byte {
 // the epoch gate (stale rejection, adopt-then-admit, untagged bypass).
 func (n *Node) v2ServePut(f frame) []byte {
 	var w wireWriter
-	rd := &wireReader{buf: f.payload}
-	ns := rd.str()
-	seq := rd.uvarint()
-	scope := decodeScope(rd)
-	wantTrace := rd.bool()
-	overflow := rd.bool()
-	if rd.err != nil {
-		appendErrFrame(&w, f.id, http.StatusBadRequest, rd.err.Error())
+	rd := wire.NewReader(f.payload)
+	ns := rd.Str()
+	if rd.Err() != nil {
+		appendErrFrame(&w, f.id, http.StatusBadRequest, rd.Err().Error())
 		return w.buf
 	}
 	cs, ok := n.source(ns)
@@ -272,9 +270,13 @@ func (n *Node) v2ServePut(f frame) []byte {
 		appendErrFrame(&w, f.id, http.StatusNotFound, fmt.Sprintf("unknown namespace %q", ns))
 		return w.buf
 	}
-	pred := decodePredicate(rd, cs.Schema())
-	tuples := decodeTuples(rd, cs.Schema())
-	if err := rd.finish(); err != nil {
+	seq := rd.Uvarint()
+	scope := readScope(rd, cs.Schema())
+	wantTrace := rd.Bool()
+	overflow := rd.Bool()
+	pred := rd.Predicate(cs.Schema())
+	tuples := rd.Tuples(cs.Schema())
+	if err := rd.Finish(); err != nil {
 		appendErrFrame(&w, f.id, http.StatusBadRequest, err.Error())
 		return w.buf
 	}
@@ -305,7 +307,7 @@ func (n *Node) v2ServePut(f frame) []byte {
 // clean); a sender ahead is adopted — wiping local pre-change state,
 // only the scoped slice when it carried a rect — before its post-change
 // answer is admitted.
-func (n *Node) admitFromPeer(cs *clusterSource, ns string, pred relation.Predicate, res hidden.Result, seq uint64, scope *rectDoc) (int, string) {
+func (n *Node) admitFromPeer(cs *clusterSource, ns string, pred relation.Predicate, res hidden.Result, seq uint64, scope *region.Rect) (int, string) {
 	epochGated := false
 	if local := n.seqOf(ns); local > 0 && seq > 0 {
 		if seq < local {

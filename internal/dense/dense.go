@@ -28,7 +28,6 @@ package dense
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"math/bits"
 	"sort"
 	"sync"
@@ -37,6 +36,7 @@ import (
 	"repro/internal/kvstore"
 	"repro/internal/region"
 	"repro/internal/relation"
+	"repro/internal/wire"
 )
 
 // Entry describes one indexed dense region.
@@ -129,12 +129,15 @@ func Open(schema *relation.Schema, store kvstore.Store, opts ...Option) (*Index,
 	if v, ok, err := store.Get(epochKey); err == nil && ok && len(v) >= 8 {
 		ix.epochSeq.Store(binary.LittleEndian.Uint64(v))
 	}
-	var corrupt [][]byte
+	var corrupt, blobs [][]byte
 	err := store.Range(func(key, value []byte) bool {
+		if len(key) >= 2 && key[0] == 't' && key[1] == '/' {
+			blobs = append(blobs, append([]byte(nil), key...))
+		}
 		if len(key) < 2 || key[0] != 'e' {
 			return true
 		}
-		e, derr := decodeEntry(value)
+		e, derr := decodeEntry(value, schema)
 		if derr != nil {
 			// A corrupt directory record is dropped rather than trusted;
 			// the region will simply be re-crawled on demand.
@@ -154,22 +157,33 @@ func Open(schema *relation.Schema, store kvstore.Store, opts ...Option) (*Index,
 	for _, key := range corrupt {
 		_ = store.Delete(key)
 	}
-	// Verify tuple blobs exist and decode for every directory entry; drop
-	// entries whose data is missing or unreadable, and admit the decoded
-	// tuples of the survivors as the warm resident set.
+	// Verify tuple blobs exist, decode and hold the recorded count for
+	// every directory entry; drop entries whose data is missing or
+	// unreadable (the sweep below removes their blobs), and admit the
+	// decoded tuples of the survivors as the warm resident set.
 	live := make([]Entry, 0, len(ix.entries))
 	for id, e := range ix.entries {
 		ts, terr := ix.Tuples(id)
-		if terr != nil {
+		if terr != nil || len(ts) != e.Count {
 			delete(ix.entries, id)
 			ix.tuples -= e.Count
 			_ = ix.store.Delete(entryKey(id))
-			_ = ix.store.Delete(tuplesKey(id))
 			continue
 		}
 		sortTuplesByID(ts)
 		ix.res.admit(id, packTuples(ts))
 		live = append(live, e)
+	}
+	// A tuple blob no live entry points at — its record was dropped
+	// above, or a crash fell between the two writes of an Insert — would
+	// never be read again.
+	for _, key := range blobs {
+		if len(key) == 10 {
+			if _, ok := ix.entries[binary.BigEndian.Uint64(key[2:])]; ok {
+				continue
+			}
+		}
+		_ = store.Delete(key)
 	}
 	ix.dir.bulk(live)
 	return ix, nil
@@ -212,7 +226,7 @@ func (ix *Index) Insert(r region.Rect, tuples []relation.Tuple) (Entry, error) {
 		return e, nil
 	}
 	e := Entry{ID: ix.nextID, Rect: r.Clone(), Count: len(tuples)}
-	if err := ix.store.Put(tuplesKey(e.ID), encodeTuples(tuples)); err != nil {
+	if err := ix.store.Put(tuplesKey(e.ID), wire.AppendTuples(nil, tuples, ix.schema.Len())); err != nil {
 		return Entry{}, fmt.Errorf("dense: store tuples: %w", err)
 	}
 	if err := ix.store.Put(entryKey(e.ID), encodeEntry(e)); err != nil {
@@ -242,7 +256,12 @@ func (ix *Index) Tuples(id uint64) ([]relation.Tuple, error) {
 	if !ok {
 		return nil, fmt.Errorf("dense: entry %d has no tuple data", id)
 	}
-	return decodeTuples(blob)
+	r := wire.NewReader(blob)
+	ts := r.Tuples(ix.schema)
+	if err := r.Finish(); err != nil {
+		return nil, fmt.Errorf("dense: entry %d tuples: %w", id, err)
+	}
+	return ts, nil
 }
 
 // resident returns the in-memory view of an entry, loading and admitting
@@ -603,118 +622,31 @@ func tuplesKey(id uint64) []byte {
 	return k
 }
 
-const codecVersion = 1
+// codecVersion opens every directory record. A record of another
+// version is dropped at boot with its tuple blob, so an index written by
+// an older binary starts cold.
+const codecVersion = 2
 
-// encodeEntry serialises an entry's directory record.
+// encodeEntry serialises an entry's directory record. Persisted layout
+// (the rect and tuple layouts are internal/wire's):
+//
+//	e/<id>   u8 codecVersion | uvarint id | uvarint count | rect
+//	t/<id>   tuples, in crawl order
 func encodeEntry(e Entry) []byte {
-	buf := make([]byte, 0, 16+25*len(e.Rect.Attrs))
-	buf = append(buf, codecVersion)
-	buf = binary.LittleEndian.AppendUint64(buf, e.ID)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(e.Count))
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(e.Rect.Attrs)))
-	for i, a := range e.Rect.Attrs {
-		iv := e.Rect.Ivs[i]
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(a))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(iv.Lo))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(iv.Hi))
-		var flags byte
-		if iv.LoOpen {
-			flags |= 1
-		}
-		if iv.HiOpen {
-			flags |= 2
-		}
-		buf = append(buf, flags)
-	}
-	return buf
+	buf := []byte{codecVersion}
+	buf = binary.AppendUvarint(buf, e.ID)
+	buf = binary.AppendUvarint(buf, uint64(e.Count))
+	return wire.AppendRect(buf, e.Rect)
 }
 
-// decodeEntry parses a directory record. It accepts exactly the bytes
-// encodeEntry writes: a record whose length disagrees with its dimension
-// count, or whose interval flags carry unknown bits, is corrupt.
-func decodeEntry(buf []byte) (Entry, error) {
-	if len(buf) < 15 || buf[0] != codecVersion {
-		return Entry{}, fmt.Errorf("bad entry header")
+// decodeEntry parses a directory record against the index's schema. It
+// accepts exactly the bytes encodeEntry writes.
+func decodeEntry(buf []byte, schema *relation.Schema) (Entry, error) {
+	r := wire.NewReader(buf)
+	if v := r.U8(); v != codecVersion {
+		r.Fail("dense: entry codec version %d, want %d", v, codecVersion)
 	}
-	e := Entry{ID: binary.LittleEndian.Uint64(buf[1:9]), Count: int(binary.LittleEndian.Uint32(buf[9:13]))}
-	dims := int(binary.LittleEndian.Uint16(buf[13:15]))
-	if len(buf) != 15+21*dims {
-		return Entry{}, fmt.Errorf("entry rect of %d dims in %d bytes", dims, len(buf))
-	}
-	off := 15
-	attrs := make([]int, 0, dims)
-	ivs := make([]relation.Interval, 0, dims)
-	for d := 0; d < dims; d++ {
-		a := int(binary.LittleEndian.Uint32(buf[off : off+4]))
-		lo := math.Float64frombits(binary.LittleEndian.Uint64(buf[off+4 : off+12]))
-		hi := math.Float64frombits(binary.LittleEndian.Uint64(buf[off+12 : off+20]))
-		flags := buf[off+20]
-		if flags&^3 != 0 {
-			return Entry{}, fmt.Errorf("entry rect dim %d: bad flags %#x", d, flags)
-		}
-		attrs = append(attrs, a)
-		ivs = append(ivs, relation.Interval{Lo: lo, Hi: hi, LoOpen: flags&1 != 0, HiOpen: flags&2 != 0})
-		off += 21
-	}
-	r, err := region.New(attrs, ivs)
-	if err != nil {
-		return Entry{}, err
-	}
-	e.Rect = r
-	return e, nil
-}
-
-// encodeTuples serialises a tuple slice.
-func encodeTuples(ts []relation.Tuple) []byte {
-	size := 4
-	for _, t := range ts {
-		size += 8 + 2 + 8*len(t.Values)
-	}
-	buf := make([]byte, 0, size)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ts)))
-	for _, t := range ts {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(t.ID))
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(t.Values)))
-		for _, v := range t.Values {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-		}
-	}
-	return buf
-}
-
-// decodeTuples parses a tuple blob. The count is checked against the blob
-// before anything is allocated for it — every tuple takes at least 10
-// bytes — so a corrupt count cannot ask for gigabytes; bytes left over
-// after the last tuple are corrupt too.
-func decodeTuples(buf []byte) ([]relation.Tuple, error) {
-	if len(buf) < 4 {
-		return nil, fmt.Errorf("truncated tuple blob")
-	}
-	n := int(binary.LittleEndian.Uint32(buf[:4]))
-	if n > (len(buf)-4)/10 {
-		return nil, fmt.Errorf("tuple blob declares %d tuples in %d bytes", n, len(buf))
-	}
-	off := 4
-	out := make([]relation.Tuple, 0, n)
-	for i := 0; i < n; i++ {
-		if len(buf) < off+10 {
-			return nil, fmt.Errorf("truncated tuple %d", i)
-		}
-		id := int64(binary.LittleEndian.Uint64(buf[off : off+8]))
-		nv := int(binary.LittleEndian.Uint16(buf[off+8 : off+10]))
-		off += 10
-		if len(buf) < off+8*nv {
-			return nil, fmt.Errorf("truncated tuple %d values", i)
-		}
-		vals := make([]float64, nv)
-		for j := 0; j < nv; j++ {
-			vals[j] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off : off+8]))
-			off += 8
-		}
-		out = append(out, relation.Tuple{ID: id, Values: vals})
-	}
-	if off != len(buf) {
-		return nil, fmt.Errorf("%d trailing bytes after %d tuples", len(buf)-off, n)
-	}
-	return out, nil
+	e := Entry{ID: r.Uvarint(), Count: int(r.Uvarint())}
+	e.Rect = r.Rect(schema)
+	return e, r.Finish()
 }

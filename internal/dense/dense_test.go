@@ -1,6 +1,7 @@
 package dense
 
 import (
+	"fmt"
 	"math/rand"
 	"path/filepath"
 	"sync"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/kvstore"
 	"repro/internal/region"
 	"repro/internal/relation"
+	"repro/internal/wire"
 )
 
 func schema(t *testing.T) *relation.Schema {
@@ -225,6 +227,15 @@ func TestOpenDropsCorruptDirectory(t *testing.T) {
 	if err := store.Put([]byte("e/garbage"), []byte{0xde, 0xad}); err != nil {
 		t.Fatal(err)
 	}
+	// A record of another codec version is dropped with its tuple blob.
+	old := encodeEntry(Entry{ID: 3, Count: 1, Rect: region.MustNew([]int{0}, []relation.Interval{relation.Closed(0, 10)})})
+	old[0] = codecVersion - 1
+	if err := store.Put(entryKey(3), old); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Put(tuplesKey(3), wire.AppendTuples(nil, mkTuples(1, 3), 2)); err != nil {
+		t.Fatal(err)
+	}
 	ix, err := Open(schema(t), store)
 	if err != nil {
 		t.Fatal(err)
@@ -234,6 +245,9 @@ func TestOpenDropsCorruptDirectory(t *testing.T) {
 	}
 	if _, ok, _ := store.Get([]byte("e/garbage")); ok {
 		t.Fatal("corrupt entry not removed from store")
+	}
+	if store.Len() != 0 {
+		t.Fatalf("rejected records left %d keys in the store (orphaned tuple blob?)", store.Len())
 	}
 }
 
@@ -528,16 +542,22 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 func TestCodecRoundTripProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 300; trial++ {
+		// One width per tuple set: the codec checks it against the schema.
+		attrs := make([]relation.Attribute, 1+r.Intn(5))
+		for j := range attrs {
+			attrs[j] = relation.Attribute{Name: fmt.Sprint("a", j), Kind: relation.Numeric, Max: 1}
+		}
+		s := relation.MustSchema(attrs...)
 		n := r.Intn(40)
 		ts := make([]relation.Tuple, n)
 		for i := range ts {
-			vals := make([]float64, 1+r.Intn(5))
+			vals := make([]float64, s.Len())
 			for j := range vals {
 				vals[j] = r.NormFloat64() * 1e6
 			}
 			ts[i] = relation.Tuple{ID: r.Int63(), Values: vals}
 		}
-		back, err := decodeTuples(encodeTuples(ts))
+		back, err := readBlob(wire.AppendTuples(nil, ts, s.Len()), s)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -558,17 +578,15 @@ func TestCodecRoundTripProperty(t *testing.T) {
 }
 
 func TestDecodeTuplesTruncated(t *testing.T) {
-	blob := encodeTuples(mkTuples(3, 8))
+	s := schema(t)
+	blob := wire.AppendTuples(nil, mkTuples(3, 8), s.Len())
 	for cut := 0; cut < len(blob); cut += 3 {
-		if cut >= 4 && cut < len(blob) {
-			if _, err := decodeTuples(blob[:cut]); err == nil && cut < len(blob) {
-				// Truncation inside the tuple array must error; a cut at
-				// exactly 4 bytes with count>0 must also error.
-				t.Fatalf("truncated blob (%d bytes) decoded without error", cut)
-			}
+		// Truncation anywhere, header or tuple array, must error.
+		if _, err := readBlob(blob[:cut], s); err == nil {
+			t.Fatalf("truncated blob (%d bytes) decoded without error", cut)
 		}
 	}
-	if _, err := decodeTuples(nil); err == nil {
+	if _, err := readBlob(nil, s); err == nil {
 		t.Fatal("nil blob decoded")
 	}
 }

@@ -2,7 +2,6 @@ package qcache
 
 import (
 	"encoding/binary"
-	"math"
 	"sync"
 	"time"
 
@@ -57,14 +56,16 @@ type completeGroup struct {
 // is ordered after the shard locks: shards register and unregister while
 // holding their own mutex; lookups take only the directory lock.
 type completeDir struct {
+	schema *relation.Schema // the keys decode against it
 	mu     sync.RWMutex
 	groups map[string]*completeGroup // signature -> group
 	sigs   map[string]string         // entry key -> signature
 	crawl  int                       // how many registered entries are crawl sets
 }
 
-func newCompleteDir() *completeDir {
+func newCompleteDir(schema *relation.Schema) *completeDir {
 	return &completeDir{
+		schema: schema,
 		groups: make(map[string]*completeGroup),
 		sigs:   make(map[string]string),
 	}
@@ -112,11 +113,8 @@ func (d *completeDir) register(key string, res hidden.Result, at time.Time) {
 	if res.Overflow {
 		return
 	}
-	ck, idOrder := key, false
-	if isCrawlKey(key) {
-		ck, idOrder = key[len(crawlKeyPrefix):], true
-	}
-	pred, ok := PredicateOfKey(ck)
+	idOrder := isCrawlKey(key)
+	pred, ok := predOfKey(d.schema, key)
 	if !ok {
 		return
 	}
@@ -256,49 +254,4 @@ func (d *completeDir) purge() {
 	d.sigs = make(map[string]string)
 	d.crawl = 0
 	d.mu.Unlock()
-}
-
-// PredicateOfKey reconstructs the predicate serialised by AppendKey. The
-// canonical key is a faithful encoding of every constraining condition, so
-// the round trip loses nothing the cache ever distinguished. ok is false
-// for malformed keys.
-func PredicateOfKey(key string) (relation.Predicate, bool) {
-	var p relation.Predicate
-	buf := []byte(key)
-	for len(buf) > 0 {
-		switch buf[0] {
-		case 'c':
-			if len(buf) < 9 {
-				return relation.Predicate{}, false
-			}
-			attr := int(binary.LittleEndian.Uint32(buf[1:5]))
-			n := int(binary.LittleEndian.Uint32(buf[5:9]))
-			buf = buf[9:]
-			if n < 0 || len(buf) < 4*n {
-				return relation.Predicate{}, false
-			}
-			cats := make([]int, n)
-			for i := 0; i < n; i++ {
-				cats[i] = int(binary.LittleEndian.Uint32(buf[4*i : 4*i+4]))
-			}
-			buf = buf[4*n:]
-			p = p.WithCategories(attr, cats)
-		case 'n':
-			if len(buf) < 22 {
-				return relation.Predicate{}, false
-			}
-			attr := int(binary.LittleEndian.Uint32(buf[1:5]))
-			iv := relation.Interval{
-				Lo:     math.Float64frombits(binary.LittleEndian.Uint64(buf[5:13])),
-				Hi:     math.Float64frombits(binary.LittleEndian.Uint64(buf[13:21])),
-				LoOpen: buf[21]&1 != 0,
-				HiOpen: buf[21]&2 != 0,
-			}
-			buf = buf[22:]
-			p = p.WithInterval(attr, iv)
-		default:
-			return relation.Predicate{}, false
-		}
-	}
-	return p, true
 }

@@ -1,68 +1,27 @@
 package qcache
 
 import (
-	"encoding/binary"
-	"math"
+	"strings"
 
 	"repro/internal/relation"
+	"repro/internal/wire"
 )
 
 // Canonical predicate keying. Two predicates that accept exactly the same
 // tuples for structural reasons — same conditions arriving in a different
 // construction order, redundant full-interval constraints, duplicate or
-// unsorted category lists — must map to the same cache key, so that
-// semantically identical filters submitted by different users share one
-// entry. relation.Predicate already keeps conditions sorted by attribute
-// and category sets sorted and deduplicated; the key serialisation adds
-// the remaining normalisations (dropping non-constraining full intervals,
-// collapsing -0 onto +0) and a fixed binary layout.
+// unsorted category lists, -0 bounds — must map to the same cache key, so
+// that semantically identical filters submitted by different users share
+// one entry. The key is the predicate's canonical wire encoding
+// (internal/wire), which performs exactly these normalisations.
 
 // KeyOf returns the canonical cache key for a predicate.
-func KeyOf(p relation.Predicate) string { return string(AppendKey(nil, p)) }
+func KeyOf(p relation.Predicate) string { return string(wire.AppendPredicate(nil, p)) }
 
-// AppendKey appends the canonical key bytes of p to buf and returns the
-// extended slice.
-func AppendKey(buf []byte, p relation.Predicate) []byte {
-	for _, c := range p.Conditions() {
-		if c.Cats != nil {
-			buf = append(buf, 'c')
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(c.Attr))
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(c.Cats)))
-			for _, ci := range c.Cats {
-				buf = binary.LittleEndian.AppendUint32(buf, uint32(ci))
-			}
-			continue
-		}
-		if isFull(c.Iv) {
-			// [-inf, +inf] constrains nothing; a predicate with and
-			// without it accepts the same tuples.
-			continue
-		}
-		buf = append(buf, 'n')
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(c.Attr))
-		buf = binary.LittleEndian.AppendUint64(buf, canonBits(c.Iv.Lo))
-		buf = binary.LittleEndian.AppendUint64(buf, canonBits(c.Iv.Hi))
-		var flags byte
-		if c.Iv.LoOpen {
-			flags |= 1
-		}
-		if c.Iv.HiOpen {
-			flags |= 2
-		}
-		buf = append(buf, flags)
-	}
-	return buf
-}
-
-func isFull(iv relation.Interval) bool {
-	return math.IsInf(iv.Lo, -1) && math.IsInf(iv.Hi, 1) && !iv.LoOpen && !iv.HiOpen
-}
-
-// canonBits returns the bit pattern of v with negative zero collapsed onto
-// positive zero, so [0, x] and [-0, x] key identically.
-func canonBits(v float64) uint64 {
-	if v == 0 {
-		v = 0
-	}
-	return math.Float64bits(v)
+// predOfKey decodes a source key — a canonical predicate key, or a crawl
+// set's 'R'-marked one — against schema. ok is false for any key KeyOf
+// could not have produced under that schema.
+func predOfKey(schema *relation.Schema, key string) (relation.Predicate, bool) {
+	p, err := wire.ReadPredicate([]byte(strings.TrimPrefix(key, crawlKeyPrefix)), schema)
+	return p, err == nil
 }

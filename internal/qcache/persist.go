@@ -6,13 +6,13 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"math"
 	"sort"
 	"time"
 
 	"repro/internal/hidden"
 	"repro/internal/region"
 	"repro/internal/relation"
+	"repro/internal/wire"
 )
 
 // Persistence layout. The store holds one epoch record describing the
@@ -20,7 +20,13 @@ import (
 // search:
 //
 //	m/src        sha256(name, system-k, schema JSON) || epoch seq (8 bytes LE)
-//	q/<key>      codecVersion, storedAt (unixnano), overflow, tuples
+//	q/<key>      u8 codecVersion | uvarint storedAt (unix nanos) | u8 overflow | tuples
+//
+// <key> is the answer's canonical predicate key ('R'-marked for a crawl
+// set) and tuples is the wire tuple layout (internal/wire). At boot a
+// record is dropped unless its key decodes against the live schema and
+// its value is exactly what encodeStored writes; a record of another
+// codecVersion is dropped the same way, so the namespace starts cold.
 //
 // At boot the fingerprint half is compared against the live database; any
 // mismatch (different catalog, different system-k, changed schema) wipes
@@ -36,7 +42,7 @@ import (
 // the q/ records and rewrites m/src with the new seq while the namespace
 // keeps serving.
 
-const codecVersion = 1
+const codecVersion = 2
 
 var fingerprintKey = []byte("m/src")
 
@@ -104,12 +110,13 @@ func (ns *namespace) openStore() error {
 		corrupt [][]byte
 	)
 	now := ns.pool.now()
+	schema := ns.inner.Schema()
 	err = ns.store.Range(func(key, value []byte) bool {
 		if len(key) < 2 || key[0] != 'q' || key[1] != '/' {
 			return true
 		}
-		res, at, derr := decodeStored(value)
-		if derr != nil {
+		res, at, derr := decodeStored(value, schema)
+		if _, ok := predOfKey(schema, string(key[2:])); derr != nil || !ok {
 			// A corrupt record is dropped rather than trusted; the
 			// search will simply be re-issued on demand.
 			corrupt = append(corrupt, append([]byte(nil), key...))
@@ -167,7 +174,7 @@ func (ns *namespace) persist(key string, p relation.Predicate, res hidden.Result
 	if !ns.admissibleAt(seq, p) {
 		return
 	}
-	_ = ns.store.Put(storeKey(key), encodeStored(res, ns.pool.now()))
+	_ = ns.store.Put(storeKey(key), encodeStored(res, ns.pool.now(), ns.inner.Schema().Len()))
 }
 
 // writeMeta records the namespace's source identity and current epoch
@@ -230,7 +237,7 @@ func (ns *namespace) wipeRecords() error {
 func (ns *namespace) wipeRecordsRegion(rect region.Rect) error {
 	var keys [][]byte
 	err := ns.store.Range(func(key, _ []byte) bool {
-		if len(key) >= 2 && key[0] == 'q' && key[1] == '/' && keyIntersects(string(key[2:]), rect) {
+		if len(key) >= 2 && key[0] == 'q' && key[1] == '/' && keyIntersects(ns.inner.Schema(), string(key[2:]), rect) {
 			keys = append(keys, append([]byte(nil), key...))
 		}
 		return true
@@ -246,61 +253,31 @@ func (ns *namespace) wipeRecordsRegion(rect region.Rect) error {
 	return nil
 }
 
-// encodeStored serialises one search result with its fill time.
-func encodeStored(res hidden.Result, at time.Time) []byte {
-	size := 1 + 8 + 1 + 4
-	for _, t := range res.Tuples {
-		size += 10 + 8*len(t.Values)
-	}
-	buf := make([]byte, 0, size)
-	buf = append(buf, codecVersion)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(at.UnixNano()))
+// encodeStored serialises one search result of the given tuple width
+// with its fill time.
+func encodeStored(res hidden.Result, at time.Time, width int) []byte {
+	buf := []byte{codecVersion}
+	buf = binary.AppendUvarint(buf, uint64(at.UnixNano()))
 	var overflow byte
 	if res.Overflow {
 		overflow = 1
 	}
 	buf = append(buf, overflow)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(res.Tuples)))
-	for _, t := range res.Tuples {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(t.ID))
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(t.Values)))
-		for _, v := range t.Values {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-		}
-	}
-	return buf
+	return wire.AppendTuples(buf, res.Tuples, width)
 }
 
-// decodeStored parses a persisted record. It accepts exactly the bytes
-// encodeStored writes: an overflow flag other than 0 or 1, or bytes left
-// over after the last tuple, mark the record corrupt.
-func decodeStored(buf []byte) (hidden.Result, time.Time, error) {
-	if len(buf) < 14 || buf[0] != codecVersion || buf[9] > 1 {
-		return hidden.Result{}, time.Time{}, fmt.Errorf("bad record header")
+// decodeStored parses a persisted record against the source's schema. It
+// accepts exactly the bytes encodeStored writes.
+func decodeStored(buf []byte, schema *relation.Schema) (hidden.Result, time.Time, error) {
+	r := wire.NewReader(buf)
+	if v := r.U8(); v != codecVersion {
+		r.Fail("qcache: record codec version %d, want %d", v, codecVersion)
 	}
-	at := time.Unix(0, int64(binary.LittleEndian.Uint64(buf[1:9])))
-	res := hidden.Result{Overflow: buf[9] != 0}
-	n := int(binary.LittleEndian.Uint32(buf[10:14]))
-	off := 14
-	for i := 0; i < n; i++ {
-		if len(buf) < off+10 {
-			return hidden.Result{}, time.Time{}, fmt.Errorf("truncated tuple %d", i)
-		}
-		id := int64(binary.LittleEndian.Uint64(buf[off : off+8]))
-		nv := int(binary.LittleEndian.Uint16(buf[off+8 : off+10]))
-		off += 10
-		if len(buf) < off+8*nv {
-			return hidden.Result{}, time.Time{}, fmt.Errorf("truncated tuple %d values", i)
-		}
-		vals := make([]float64, nv)
-		for j := 0; j < nv; j++ {
-			vals[j] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off : off+8]))
-			off += 8
-		}
-		res.Tuples = append(res.Tuples, relation.Tuple{ID: id, Values: vals})
-	}
-	if off != len(buf) {
-		return hidden.Result{}, time.Time{}, fmt.Errorf("%d trailing bytes after %d tuples", len(buf)-off, n)
+	at := time.Unix(0, int64(r.Uvarint()))
+	res := hidden.Result{Overflow: r.Bool()}
+	res.Tuples = r.Tuples(schema)
+	if err := r.Finish(); err != nil {
+		return hidden.Result{}, time.Time{}, err
 	}
 	return res, at, nil
 }

@@ -139,7 +139,7 @@ func (p *Pool) Namespace(name string, inner hidden.DB, cfg Config) (*Cache, erro
 	ns.epochSeq.Store(1)
 	p.nextID++
 	if !cfg.DisableContainment {
-		ns.complete = newCompleteDir()
+		ns.complete = newCompleteDir(inner.Schema())
 	}
 	p.nss = append(p.nss, ns)
 	p.mu.Unlock()
@@ -448,13 +448,12 @@ func predIntersectsRect(p relation.Predicate, rect region.Rect) bool {
 	return true
 }
 
-// keyIntersects decodes the predicate behind a source key — crawl sets
-// drop their marker first — and reports whether it intersects rect. A key
-// that fails to decode is conservatively treated as intersecting:
-// over-dropping costs one re-query, under-dropping serves stale state.
-func keyIntersects(key string, rect region.Rect) bool {
-	k := strings.TrimPrefix(key, crawlKeyPrefix)
-	p, ok := PredicateOfKey(k)
+// keyIntersects decodes the predicate behind a source key against schema
+// and reports whether it intersects rect. A key that fails to decode is
+// conservatively treated as intersecting: over-dropping costs one
+// re-query, under-dropping serves stale state.
+func keyIntersects(schema *relation.Schema, key string, rect region.Rect) bool {
+	p, ok := predOfKey(schema, key)
 	if !ok {
 		return true
 	}
@@ -913,7 +912,7 @@ func (ns *namespace) stats() Stats {
 // the containment directory, and the persisted q/ and R/ records. A
 // region-scoped bump adopted in order (exactly one seq ahead) wipes
 // selectively instead: only entries and crawl sets whose predicate (via
-// PredicateOfKey) intersects the bumped rect are dropped from the
+// its decoded key) intersects the bumped rect are dropped from the
 // containment directory, the shards and the store — the rest of the
 // namespace stays warm. A scoped bump that skips seqs escalates to a full
 // wipe, because the skipped transitions' regions are unknown. adoptEpoch
@@ -990,7 +989,7 @@ func (ns *namespace) purgeResidentRegion(rect region.Rect) (dropped, retained in
 			if e.ns != ns {
 				continue
 			}
-			if keyIntersects(e.srcKey(), rect) {
+			if keyIntersects(ns.inner.Schema(), e.srcKey(), rect) {
 				drop = append(drop, el)
 			} else {
 				retained++
@@ -1028,7 +1027,7 @@ func (ns *namespace) hotPredicates(max int) []relation.Predicate {
 				continue
 			}
 			k := strings.TrimPrefix(e.srcKey(), crawlKeyPrefix)
-			if p, ok := PredicateOfKey(k); ok {
+			if p, ok := predOfKey(ns.inner.Schema(), k); ok {
 				all = append(all, hot{key: k, p: p, hits: e.hits})
 			}
 		}

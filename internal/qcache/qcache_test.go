@@ -2,6 +2,7 @@ package qcache
 
 import (
 	"context"
+	"encoding/hex"
 	"fmt"
 	"math"
 	"math/rand"
@@ -79,6 +80,54 @@ func TestKeyCanonical(t *testing.T) {
 			t.Fatalf("predicates %d and %d share key %q", i, j, k)
 		}
 		seen[k] = i
+	}
+}
+
+// TestKeyOfBytesPinned pins KeyOf's bytes: ring ownership, shard
+// placement and persisted q/ keys all hash them, so any change to the
+// layout silently moves every answer. The cases cover categorical
+// conditions, open and closed ends, ±Inf, -0 and a dropped full interval.
+func TestKeyOfBytesPinned(t *testing.T) {
+	negz := math.Copysign(0, -1)
+	inf := math.Inf(1)
+	cases := []struct {
+		name string
+		p    relation.Predicate
+		hex  string
+	}{
+		{"empty", relation.Predicate{}, ""},
+		{"closed", relation.Predicate{}.WithInterval(0, relation.Closed(40, 45)),
+			"6e000000000000000000004440000000000080464000"},
+		{"open both", relation.Predicate{}.WithInterval(0, relation.Interval{Lo: 0.1, Hi: 0.3, LoOpen: true, HiOpen: true}),
+			"6e000000009a9999999999b93f333333333333d33f03"},
+		{"open lo", relation.Predicate{}.WithInterval(2, relation.OpenLo(-5, 5)),
+			"6e0200000000000000000014c0000000000000144001"},
+		{"open hi", relation.Predicate{}.WithInterval(2, relation.OpenHi(-5, 5)),
+			"6e0200000000000000000014c0000000000000144002"},
+		{"-inf lo", relation.Predicate{}.WithInterval(0, relation.Interval{Lo: -inf, Hi: 7}),
+			"6e00000000000000000000f0ff0000000000001c4000"},
+		{"+inf hi open", relation.Predicate{}.WithInterval(0, relation.Interval{Lo: 3, Hi: inf, HiOpen: true}),
+			"6e000000000000000000000840000000000000f07f02"},
+		{"-0 lo", relation.Predicate{}.WithInterval(0, relation.Closed(negz, 20)),
+			"6e000000000000000000000000000000000000344000"},
+		{"-0 hi", relation.Predicate{}.WithInterval(0, relation.Closed(-20, negz)),
+			"6e0000000000000000000034c0000000000000000000"},
+		{"full dropped", relation.Predicate{}.WithInterval(0, relation.Closed(1, 2)).WithInterval(3, relation.Full()),
+			"6e00000000000000000000f03f000000000000004000"},
+		{"only full", relation.Predicate{}.WithInterval(1, relation.Full()), ""},
+		{"open full kept", relation.Predicate{}.WithInterval(0, relation.Interval{Lo: -inf, Hi: inf, LoOpen: true}),
+			"6e00000000000000000000f0ff000000000000f07f01"},
+		{"cats", relation.Predicate{}.WithCategories(1, []int{2, 0, 2}),
+			"6301000000020000000000000002000000"},
+		{"mixed", relation.Predicate{}.WithInterval(0, relation.Closed(10, 20)).WithCategories(1, []int{1}),
+			"6e00000000000000000000244000000000000034400063010000000100000001000000"},
+		{"cats wide", relation.Predicate{}.WithCategories(4, []int{300, 7}),
+			"630400000002000000070000002c010000"},
+	}
+	for _, c := range cases {
+		if got := hex.EncodeToString([]byte(KeyOf(c.p))); got != c.hex {
+			t.Errorf("%s: KeyOf = %s, want %s", c.name, got, c.hex)
+		}
 	}
 }
 
@@ -594,13 +643,16 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-// TestPredicateOfKeyRoundTrip: the canonical key decodes back to a
-// predicate with the identical canonical key.
+// TestPredicateOfKeyRoundTrip: the canonical key decodes, against a
+// schema whose attribute kinds match the conditions, back to a predicate
+// with the identical canonical key.
 func TestPredicateOfKeyRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	for i := 0; i < 2000; i++ {
 		var p relation.Predicate
-		for a := 0; a < 4; a++ {
+		attrs := make([]relation.Attribute, 4)
+		for a := range attrs {
+			attrs[a] = relation.Attribute{Name: fmt.Sprint("a", a), Kind: relation.Numeric, Min: -100, Max: 100}
 			switch r.Intn(3) {
 			case 0:
 			case 1:
@@ -615,18 +667,24 @@ func TestPredicateOfKeyRoundTrip(t *testing.T) {
 					cats[j] = r.Intn(6)
 				}
 				p = p.WithCategories(a, cats)
+				attrs[a] = relation.Attribute{Name: attrs[a].Name, Kind: relation.Categorical,
+					Categories: []string{"c0", "c1", "c2", "c3", "c4", "c5"}}
 			}
 		}
+		s := relation.MustSchema(attrs...)
 		key := KeyOf(p)
-		back, ok := PredicateOfKey(key)
+		back, ok := predOfKey(s, key)
 		if !ok {
 			t.Fatalf("trial %d: key %q did not decode", i, key)
 		}
 		if KeyOf(back) != key {
 			t.Fatalf("trial %d: round trip changed key", i)
 		}
+		if back, ok := predOfKey(s, crawlKeyPrefix+key); !ok || KeyOf(back) != key {
+			t.Fatalf("trial %d: crawl-marked key did not decode to the same predicate", i)
+		}
 	}
-	if _, ok := PredicateOfKey("x-garbage"); ok {
+	if _, ok := predOfKey(testSchema(), "x-garbage"); ok {
 		t.Fatal("garbage key decoded")
 	}
 }

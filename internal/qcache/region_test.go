@@ -300,7 +300,7 @@ func TestPredicateOfKeyRectIntersectionProperty(t *testing.T) {
 
 		// The round trip through the canonical key loses nothing the
 		// intersection check depends on.
-		rt, ok := PredicateOfKey(KeyOf(p))
+		rt, ok := predOfKey(testSchema(), KeyOf(p))
 		if !ok {
 			t.Fatalf("trial %d: canonical key of %v undecodable", trial, p)
 		}
@@ -308,7 +308,7 @@ func TestPredicateOfKeyRectIntersectionProperty(t *testing.T) {
 		if predIntersectsRect(rt, rect) != got {
 			t.Fatalf("trial %d: intersection differs across key round trip", trial)
 		}
-		if keyIntersects(KeyOf(p), rect) != got || keyIntersects(crawlKeyPrefix+KeyOf(p), rect) != got {
+		if keyIntersects(testSchema(), KeyOf(p), rect) != got || keyIntersects(testSchema(), crawlKeyPrefix+KeyOf(p), rect) != got {
 			t.Fatalf("trial %d: keyIntersects disagrees with predicate-level check", trial)
 		}
 		// Witness property: a matched tuple inside the rect forces true.

@@ -83,7 +83,9 @@ func (p Predicate) WithInterval(attr int, iv Interval) Predicate {
 // one of the given category codes. An existing categorical condition on attr
 // is intersected with the set.
 func (p Predicate) WithCategories(attr int, cats []int) Predicate {
-	set := append([]int(nil), cats...)
+	// Never nil: an empty set is an unsatisfiable categorical condition,
+	// and a nil Cats would make it a numeric one.
+	set := append(make([]int, 0, len(cats)), cats...)
 	sort.Ints(set)
 	set = dedupInts(set)
 	if i := p.find(attr); i >= 0 {

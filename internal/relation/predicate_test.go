@@ -57,6 +57,12 @@ func TestPredicateCategorical(t *testing.T) {
 	if !p3.Unsatisfiable() {
 		t.Fatal("empty category set should be unsatisfiable")
 	}
+	// An empty list given directly is the same empty set, not a numeric
+	// condition that would match category 0.
+	p4 := Predicate{}.WithCategories(2, nil)
+	if !p4.Unsatisfiable() || p4.Conditions()[0].Cats == nil || p4.Match(Tuple{Values: []float64{0, 0, 0}}) {
+		t.Fatal("WithCategories(attr, nil) is not the empty category set")
+	}
 }
 
 func TestPredicateUnsatisfiableInterval(t *testing.T) {
